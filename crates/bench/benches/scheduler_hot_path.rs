@@ -3,7 +3,9 @@
 //! cluster layer, every replica admission wave) pays. Algorithm 2 (sort +
 //! token-balanced placement) is compared against the length-blind
 //! `TokenBudget` port at 1k and 8k request queues, so scheduler and router
-//! changes have a perf baseline. A fleet-scale case benches the whole
+//! changes have a perf baseline. A deep-queue case benches the offline-batch
+//! steady state: one Algorithm 2 pass over a 131072-request queue against a
+//! KV-saturated pipeline with a single freed slot. A fleet-scale case benches the whole
 //! cluster loop (indexed vs linear scan) at a 256-replica fleet, and a
 //! single-node case benches the engine-backed `ServingSession::serve` in
 //! both serving modes.
@@ -16,8 +18,8 @@ use moe_lightning::{
     ServingSession, SystemEvaluator, SystemKind,
 };
 use moe_workload::{
-    Algorithm2, ArrivalProcess, BatchingConfig, PartitionState, Request, Scheduler, TokenBudget,
-    WorkloadSpec,
+    Algorithm2, ArrivalProcess, BatchingConfig, PartitionState, QueueOrder, Request, Scheduler,
+    TokenBudget, WorkloadSpec,
 };
 use std::sync::Arc;
 
@@ -76,6 +78,47 @@ fn bench_backfill(c: &mut Criterion) {
     }
 }
 
+/// The offline-batch steady state (the paper's S1 setting with every request
+/// queued at t=0): a deep MTBench-shaped waiting queue, kept in Algorithm 2's
+/// order by the serving engine, against an S1-sized pipeline (16 × 256
+/// requests) whose micro-batches are all full and KV-saturated except one
+/// freed slot with room for a short request. Each pass scans the whole queue
+/// to admit one request — the continuous-batching pass after a completion.
+fn bench_backfill_deep(c: &mut Criterion) {
+    let cfg = BatchingConfig {
+        num_micro_batches: 16,
+        max_requests_per_micro_batch: 256,
+        max_scheduled_requests: 4096,
+        cache_tokens_per_micro_batch: 120_000,
+    };
+    let mut requests = queue(131_072);
+    QueueOrder::LongestPromptFirst.sort(&mut requests);
+    let mut occupied = vec![
+        PartitionState {
+            requests: 256,
+            prompt_tokens: 20_000,
+            cache_tokens: 119_900,
+        };
+        cfg.num_micro_batches
+    ];
+    occupied[7].requests -= 1;
+    occupied[7].cache_tokens -= 100;
+    assert_eq!(
+        Algorithm2
+            .backfill_sorted(&requests, &cfg, &occupied)
+            .admitted(),
+        1,
+        "the freed slot takes exactly one short request"
+    );
+    c.bench_function("scheduler/backfill/algo2-deep/131072", |b| {
+        b.iter(|| {
+            Algorithm2
+                .backfill_sorted(&requests, &cfg, &occupied)
+                .admitted()
+        })
+    });
+}
+
 /// Fleet-scale serving: 256 T4 replicas draining 4096 Poisson arrivals under
 /// least-outstanding-tokens routing. `indexed` is the production loop (event
 /// heap + router index + sharded stepping); `scan` is the O(fleet)
@@ -131,6 +174,7 @@ criterion_group!(
     benches,
     bench_plan,
     bench_backfill,
+    bench_backfill_deep,
     bench_fleet_loop,
     bench_single_node
 );

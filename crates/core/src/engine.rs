@@ -40,7 +40,8 @@ use moe_schedule::ScheduleKind;
 use moe_workload::{
     BatchRunReport, BatchingConfig, PartitionState, QueueOrder, Request, RequestLatency, Scheduler,
 };
-use std::collections::HashMap;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// The Algorithm 2 batching limits a policy implies for a workload shape.
@@ -168,13 +169,10 @@ pub struct ReplicaEngine {
     ready_dirty: bool,
     queue_order: QueueOrder,
     // Incrementally-maintained aggregates that make `view()` O(1): the
-    // waiting queue's end-of-generation token projection, its total
-    // generation length (the admission controller's TTFT numerator), its
-    // oldest arrival, the tokens still to decode across active requests
-    // (continuous mode) and across in-flight rounds (round-to-completion).
-    ready_tokens: u64,
-    ready_gen: u64,
-    ready_oldest: Option<Seconds>,
+    // waiting queue's (see `QueueAggregates`), and the tokens still to
+    // decode across active requests (continuous mode) and across in-flight
+    // rounds (round-to-completion).
+    ready_agg: QueueAggregates,
     active_remaining: u64,
     /// Minimum `remaining` over `active` (continuous mode; meaningless when
     /// `active` is empty). Decremented in lockstep by `advance_decode` and
@@ -253,9 +251,7 @@ impl ReplicaEngine {
             ready: Vec::new(),
             ready_dirty: false,
             queue_order,
-            ready_tokens: 0,
-            ready_gen: 0,
-            ready_oldest: None,
+            ready_agg: QueueAggregates::default(),
             active_remaining: 0,
             active_min_remaining: 0,
             step_stale: false,
@@ -341,7 +337,7 @@ impl ReplicaEngine {
     /// zero for a cold replica with no step history — admission control
     /// should not reject into an idle fleet.
     pub(crate) fn projected_ttft(&self, _request: &Request) -> Seconds {
-        let queued_gen: u64 = self.ready_gen;
+        let queued_gen: u64 = self.ready_agg.gen;
         if queued_gen == 0 {
             return Seconds::ZERO;
         }
@@ -451,7 +447,7 @@ impl ReplicaEngine {
             self.prefill_credit.remove(&r.id);
         }
         debug_assert!(
-            self.ready_tokens == 0 && self.ready_gen == 0 && self.ready_oldest.is_none(),
+            self.ready_agg == QueueAggregates::default(),
             "begin_drain must leave the view's queue aggregates zeroed"
         );
         returned
@@ -499,9 +495,9 @@ impl ReplicaEngine {
             id: self.id,
             queued_requests: self.ready.len(),
             active_requests,
-            outstanding_tokens: self.ready_tokens + active_tokens,
+            outstanding_tokens: self.ready_agg.tokens + active_tokens,
             kv_capacity: self.kv_capacity(),
-            kv_projected: kv_active + self.ready_tokens + self.kv_migrating_in,
+            kv_projected: kv_active + self.ready_agg.tokens + self.kv_migrating_in,
             kv_migrating_in: self.kv_migrating_in,
             decode_rate: self.decode_rate,
             cache_stats: self
@@ -509,7 +505,7 @@ impl ReplicaEngine {
                 .as_ref()
                 .map(|c| c.stats())
                 .unwrap_or_default(),
-            oldest_queued_arrival: self.ready_oldest,
+            oldest_queued_arrival: self.ready_agg.oldest,
         }
     }
 
@@ -518,12 +514,7 @@ impl ReplicaEngine {
     /// just before the next scheduling pass, so a burst of co-timed arrivals
     /// costs one sort instead of per-request sorted inserts.
     fn push_ready(&mut self, request: Request) {
-        self.ready_tokens += request.max_context();
-        self.ready_gen += request.gen_len;
-        self.ready_oldest = Some(match self.ready_oldest {
-            Some(oldest) => oldest.min(request.arrival),
-            None => request.arrival,
-        });
+        self.ready_agg.push(&request);
         if self
             .ready
             .last()
@@ -544,26 +535,17 @@ impl ReplicaEngine {
         }
     }
 
-    /// Replaces the waiting queue (already in scheduler order — deferred
-    /// requests come back in admission order) and recomputes the aggregates.
-    ///
-    /// Schedulers declaring [`QueueOrder::Unordered`] sort internally and may
-    /// hand deferrals back in *their* order, so no invariant is asserted for
-    /// them — the engine's queue order is then merely insertion order.
-    fn set_ready(&mut self, ready: Vec<Request>) {
-        self.ready = ready;
-        self.ready_dirty = false;
-        self.ready_tokens = 0;
-        self.ready_gen = 0;
-        self.ready_oldest = None;
-        for r in &self.ready {
-            self.ready_tokens += r.max_context();
-            self.ready_gen += r.gen_len;
-            self.ready_oldest = Some(match self.ready_oldest {
-                Some(oldest) => oldest.min(r.arrival),
-                None => r.arrival,
-            });
-        }
+    /// Debug check after an admission pass: the incrementally maintained
+    /// aggregates equal a from-scratch recompute, and the waiting queue is
+    /// in scheduler order. Schedulers declaring [`QueueOrder::Unordered`]
+    /// sort internally and may hand deferrals back in *their* order, so no
+    /// order is asserted for them — the engine's queue order is then merely
+    /// insertion order.
+    fn debug_assert_queue(&self) {
+        debug_assert!(
+            self.ready_agg.matches(&QueueAggregates::of(&self.ready)),
+            "incremental queue aggregates diverged from the waiting queue"
+        );
         debug_assert!(
             self.queue_order == QueueOrder::Unordered
                 || self
@@ -575,9 +557,7 @@ impl ReplicaEngine {
 
     /// Takes the waiting queue, leaving it empty with zeroed aggregates.
     fn take_ready(&mut self) -> Vec<Request> {
-        self.ready_tokens = 0;
-        self.ready_gen = 0;
-        self.ready_oldest = None;
+        self.ready_agg = QueueAggregates::default();
         self.ready_dirty = false;
         std::mem::take(&mut self.ready)
     }
@@ -872,31 +852,51 @@ impl ReplicaEngine {
         // Saturation precheck: when the total-admission cap or every request
         // slot is already exhausted the scheduler cannot admit anything, so
         // skip the pass entirely.
+        let ubs = self.batching.max_requests_per_micro_batch;
         let in_flight: usize = self.parts.iter().map(|p| p.requests).sum();
-        if in_flight >= self.batching.max_scheduled_requests
-            || self
-                .parts
-                .iter()
-                .all(|p| p.requests >= self.batching.max_requests_per_micro_batch)
-        {
+        let Some(headroom) = self
+            .parts
+            .iter()
+            .filter(|p| p.requests < ubs)
+            .map(|p| {
+                self.batching
+                    .cache_tokens_per_micro_batch
+                    .saturating_sub(p.cache_tokens)
+            })
+            .max()
+        else {
+            return Ok(false);
+        };
+        if in_flight >= self.batching.max_scheduled_requests {
             return Ok(false);
         }
         self.settle_ready();
+        // A scheduler with a declared order charges every request at least
+        // its end-of-generation context (see `Scheduler::queue_order`), so
+        // it cannot admit anything either when no micro-batch with a free
+        // slot has headroom for the smallest waiting one. The queue is left
+        // exactly as a pass that admitted nothing leaves it.
+        if self.queue_order != QueueOrder::Unordered && headroom < self.ready_agg.min_context() {
+            return Ok(false);
+        }
         let t0 = self.profile.then(std::time::Instant::now);
-        let fill = self
+        let mut fill = self
             .scheduler
             .backfill_sorted(&self.ready, &self.batching, &self.parts);
         self.note_plan(t0);
+        // The deferred requests stay in admission order: the admitted ones
+        // are compacted out of the queue in place (an `Unordered` scheduler's
+        // sorted copy replaces it), and the aggregates drop exactly what
+        // left.
+        fill.remove_admitted(&mut self.ready);
+        self.ready_dirty = false;
+        self.ready_agg
+            .remove(fill.assignments.iter().flatten(), &self.ready);
+        self.debug_assert_queue();
         let admitted = fill.admitted();
         if admitted == 0 {
-            // Nothing left the queue: same multiset, possibly re-ordered by
-            // the scheduler, so the incremental aggregates are still exact
-            // and the full recompute in `set_ready` can be skipped.
-            self.ready = fill.deferred;
-            self.ready_dirty = false;
             return Ok(false);
         }
-        self.set_ready(fill.deferred);
         let wave = self.rounds.len();
         let count = admitted as u64;
         let prompt: u64 = fill.assignments.iter().flatten().map(|r| r.input_len).sum();
@@ -1130,8 +1130,8 @@ impl ReplicaEngine {
         let t0 = self.profile.then(std::time::Instant::now);
         let formed = self.scheduler.plan_sorted(&self.ready, &self.batching);
         self.note_plan(t0);
-        self.take_ready();
         if formed.scheduled_requests() == 0 {
+            self.take_ready();
             // No scheduler progress on an empty pipeline (padded KV charge
             // overflow): abort rather than loop.
             self.aborted.extend(formed.aborted);
@@ -1265,7 +1265,18 @@ impl ReplicaEngine {
             prompt_token_spread: formed.prompt_token_spread(),
             report,
         });
-        self.set_ready(formed.aborted);
+        // The deferred requests come back in admission order; the
+        // aggregates drop exactly what was admitted.
+        self.ready = formed.aborted;
+        self.ready_dirty = false;
+        self.ready_agg.remove(
+            formed
+                .micro_batches
+                .iter()
+                .flat_map(|mb| mb.requests.iter()),
+            &self.ready,
+        );
+        self.debug_assert_queue();
         Ok(())
     }
 
@@ -1288,6 +1299,211 @@ impl ReplicaEngine {
             latencies: self.latencies,
             aborted: self.aborted,
             totals: self.totals,
+        }
+    }
+}
+
+/// Aggregates over a replica's waiting queue, maintained per arrival and per
+/// admission so neither `view()` nor an admission pass re-scans the queue:
+/// its end-of-generation token projection, its total generation length (the
+/// admission controller's TTFT numerator), its oldest arrival, and the
+/// multiset of its end-of-generation contexts (whose minimum feeds the
+/// engine's can-anything-fit precheck).
+#[derive(Debug, Clone, PartialEq, Default)]
+struct QueueAggregates {
+    tokens: u64,
+    gen: u64,
+    /// Folded with [`Seconds::min`], like the per-arrival update.
+    oldest: Option<Seconds>,
+    /// How many waiting requests carry `oldest` — a lower bound, never an
+    /// overcount — so an admission re-derives `oldest` from the queue only
+    /// when it takes the last of them.
+    oldest_ties: usize,
+    /// Waiting requests per end-of-generation context.
+    contexts: BTreeMap<u64, usize>,
+}
+
+impl QueueAggregates {
+    /// The aggregates of `queue`, from scratch.
+    fn of(queue: &[Request]) -> Self {
+        let mut agg = QueueAggregates::default();
+        for r in queue {
+            agg.tokens += r.max_context();
+            agg.gen += r.gen_len;
+            *agg.contexts.entry(r.max_context()).or_default() += 1;
+        }
+        agg.rescan_oldest(queue);
+        agg
+    }
+
+    fn rescan_oldest(&mut self, queue: &[Request]) {
+        self.oldest = queue.iter().map(|r| r.arrival).reduce(Seconds::min);
+        let oldest = self.oldest.map(Seconds::key);
+        self.oldest_ties = queue
+            .iter()
+            .filter(|r| Some(r.arrival.key()) == oldest)
+            .count();
+    }
+
+    /// The smallest end-of-generation context waiting (`u64::MAX` for an
+    /// empty queue).
+    fn min_context(&self) -> u64 {
+        self.contexts.keys().next().copied().unwrap_or(u64::MAX)
+    }
+
+    /// Adds one arrival.
+    fn push(&mut self, request: &Request) {
+        self.tokens += request.max_context();
+        self.gen += request.gen_len;
+        *self.contexts.entry(request.max_context()).or_default() += 1;
+        let arrival = request.arrival;
+        match self.oldest {
+            Some(oldest) if arrival.key() == oldest.key() => self.oldest_ties += 1,
+            Some(oldest) if oldest.min(arrival).key() == oldest.key() => {}
+            Some(oldest) => {
+                let oldest = oldest.min(arrival);
+                self.oldest = Some(oldest);
+                self.oldest_ties = usize::from(arrival.key() == oldest.key());
+            }
+            None => {
+                self.oldest = Some(arrival);
+                self.oldest_ties = 1;
+            }
+        }
+    }
+
+    /// Drops the requests that `left` the queue; `queue` is what remains,
+    /// re-scanned only if the oldest arrival lost its last carrier.
+    fn remove<'a>(&mut self, left: impl Iterator<Item = &'a Request>, queue: &[Request]) {
+        let oldest = self.oldest.map(Seconds::key);
+        for r in left {
+            self.tokens -= r.max_context();
+            self.gen -= r.gen_len;
+            if let Entry::Occupied(mut waiting) = self.contexts.entry(r.max_context()) {
+                *waiting.get_mut() -= 1;
+                if *waiting.get() == 0 {
+                    waiting.remove();
+                }
+            }
+            if oldest.is_some_and(|o| r.arrival.key() <= o) {
+                self.oldest_ties = self.oldest_ties.saturating_sub(1);
+            }
+        }
+        if self.oldest_ties == 0 {
+            self.rescan_oldest(queue);
+        }
+    }
+
+    /// Whether these aggregates describe the same queue as `exact` (a
+    /// from-scratch [`QueueAggregates::of`]).
+    fn matches(&self, exact: &QueueAggregates) -> bool {
+        // NaN stamps differ by payload under `key`; any NaN matches any.
+        let nan = |s: Option<Seconds>| s.is_some_and(|s| s.as_secs().is_nan());
+        let same_oldest = self.oldest.map(Seconds::key) == exact.oldest.map(Seconds::key)
+            || (nan(self.oldest) && nan(exact.oldest));
+        self.tokens == exact.tokens
+            && self.gen == exact.gen
+            && same_oldest
+            && (self.oldest_ties <= exact.oldest_ties || nan(exact.oldest))
+            && self.contexts == exact.contexts
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::serving::ServingSession;
+    use crate::settings::EvalSetting;
+    use moe_workload::{builtin_schedulers, ArrivalProcess, WorkloadSpec};
+    use std::collections::HashSet;
+
+    /// Drives `queue` through a one-replica engine the way
+    /// `ServingSession::serve` does, checking after every event that the
+    /// incrementally maintained queue aggregates equal a from-scratch
+    /// recompute. Returns the report and how many events admitted a request
+    /// carrying the oldest waiting arrival.
+    fn drive_checked(session: &ServingSession, queue: &[Request]) -> (ServingReport, usize) {
+        let mut engine = ReplicaEngine::new(
+            ReplicaId(0),
+            session.evaluator.clone(),
+            session.system,
+            session.policy,
+            session.batching,
+            session.mode,
+            Arc::clone(&session.scheduler),
+        );
+        let mut oldest_admitted = 0;
+        let mut next = 0;
+        loop {
+            assert!(
+                engine
+                    .ready_agg
+                    .matches(&QueueAggregates::of(&engine.ready)),
+                "{}: aggregates diverged",
+                session.scheduler.name()
+            );
+            let internal = engine.next_event();
+            match queue.get(next) {
+                Some(r) if internal.is_none_or(|t| r.arrival <= t) => {
+                    engine.enqueue(*r, r.arrival);
+                    next += 1;
+                }
+                _ => {
+                    let Some(t) = internal else { break };
+                    let oldest = engine.ready_agg.oldest.map(Seconds::key);
+                    let carriers: HashSet<u64> = engine
+                        .ready
+                        .iter()
+                        .filter(|r| Some(r.arrival.key()) == oldest)
+                        .map(|r| r.id)
+                        .collect();
+                    engine.step_to(t).unwrap();
+                    let left = engine
+                        .ready
+                        .iter()
+                        .filter(|r| carriers.contains(&r.id))
+                        .count();
+                    if left < carriers.len() {
+                        oldest_admitted += 1;
+                    }
+                }
+            }
+        }
+        (engine.into_report(), oldest_admitted)
+    }
+
+    #[test]
+    fn incremental_queue_aggregates_match_a_recompute_after_every_admission() {
+        let eval = SystemEvaluator::new(EvalSetting::S1.node(), EvalSetting::S1.model());
+        let spec = WorkloadSpec::mtbench();
+        for arrivals in [
+            ArrivalProcess::Poisson { rate_per_sec: 8.0 },
+            ArrivalProcess::Burst {
+                size: 64,
+                period_secs: 20.0,
+            },
+        ] {
+            let mut queue = spec.sample_requests_mixed_gen(240, 5);
+            for r in queue.iter_mut().step_by(9) {
+                r.gen_len = 0;
+            }
+            arrivals.stamp(&mut queue, 5);
+            queue.sort_by_key(|r| (r.arrival.key(), r.id));
+            for scheduler in builtin_schedulers() {
+                let name = scheduler.name();
+                let session = ServingSession::new(&eval, SystemKind::MoeLightning, &spec, 64)
+                    .unwrap()
+                    .with_mode(ServingMode::Continuous)
+                    .with_scheduler(Arc::from(scheduler));
+                let (report, oldest_admitted) = drive_checked(&session, &queue);
+                assert!(
+                    oldest_admitted > 0,
+                    "{name} {arrivals:?}: never admitted the oldest waiting request"
+                );
+                assert_eq!(report.served_requests(), queue.len(), "{name} {arrivals:?}");
+                // The checked drive is the serving session's own loop.
+                assert_eq!(report, session.serve(queue.clone()).unwrap(), "{name}");
+            }
         }
     }
 }

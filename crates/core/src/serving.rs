@@ -295,11 +295,20 @@ impl<'a> ServingSession<'a> {
             .map_err(|reason| EngineError::InvalidBatchingConfig { reason })?;
         // Permanently-oversized requests can never be scheduled; pulling them out
         // here keeps every later Algorithm 2 pass free of requests it would only
-        // re-sort and re-reject.
+        // re-sort and re-reject. Filtered in place and sorted without a
+        // scratch buffer (ids are unique, so the key is total): the queue is
+        // never copied.
         let budget = self.batching.cache_tokens_per_micro_batch;
-        let (mut feasible, oversized): (Vec<Request>, Vec<Request>) =
-            queue.into_iter().partition(|r| r.max_context() <= budget);
-        feasible.sort_by_key(|r| (r.arrival.key(), r.id));
+        let mut feasible = queue;
+        let mut oversized = Vec::new();
+        feasible.retain(|r| {
+            let fits = r.max_context() <= budget;
+            if !fits {
+                oversized.push(*r);
+            }
+            fits
+        });
+        feasible.sort_unstable_by_key(|r| (r.arrival.key(), r.id));
         let mut engine = ReplicaEngine::new(
             ReplicaId(0),
             self.evaluator.clone(),

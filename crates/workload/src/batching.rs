@@ -189,14 +189,29 @@ impl PartitionState {
 }
 
 /// Result of backfilling open micro-batch slots from a waiting queue.
+///
+/// The result does not copy the requests it leaves waiting. It records the
+/// ascending positions of the admitted requests in the admission-ordered
+/// queue the scheduler scanned: the caller's own queue on the presorted
+/// [`Scheduler::backfill_sorted`] path, or the scheduler's sorted copy
+/// (`sorted`) when it had to make one — the unsorted [`Scheduler::backfill`]
+/// path, and custom schedulers declaring [`crate::QueueOrder::Unordered`].
+/// The deferred requests are the scanned queue minus those positions, in
+/// admission order ([`BackfillResult::deferred`],
+/// [`BackfillResult::remove_admitted`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BackfillResult {
     /// Newly admitted requests per micro-batch (parallel to the input state slice).
     pub assignments: Vec<Vec<Request>>,
-    /// Requests that found no open micro-batch with a free slot and KV headroom.
-    pub deferred: Vec<Request>,
     /// Indices of micro-batches that reached the request cap, in fill order.
     pub filled_order: Vec<usize>,
+    /// Ascending positions of the admitted requests in the scanned queue
+    /// (`sorted` if present, else the queue the scheduler was called with);
+    /// one entry per admitted request.
+    pub admitted_positions: Vec<usize>,
+    /// The scheduler's own admission-ordered copy of the queue, when it
+    /// sorted one; `None` when it scanned the caller's queue in place.
+    pub sorted: Option<Vec<Request>>,
 }
 
 impl BackfillResult {
@@ -205,10 +220,32 @@ impl BackfillResult {
         self.assignments.iter().map(Vec::len).sum()
     }
 
-    /// Converts a from-scratch assignment (empty pre-occupancy) into a
-    /// [`BatchingResult`]: full micro-batches first (in the order they filled
-    /// up), then the remaining partially filled ones in index order.
-    pub fn into_batching_result(mut self) -> BatchingResult {
+    /// The requests that found no micro-batch with a free slot and KV
+    /// headroom, in admission order. `queue` is the queue the scheduler was
+    /// called with.
+    pub fn deferred(&self, queue: &[Request]) -> Vec<Request> {
+        let mut deferred = self.sorted.as_deref().unwrap_or(queue).to_vec();
+        drop_positions(&mut deferred, &self.admitted_positions);
+        deferred
+    }
+
+    /// Leaves `queue` — the queue the scheduler was called with — holding
+    /// exactly the deferred requests, in admission order, without copying
+    /// it: the admitted positions are compacted out in place. When the
+    /// scheduler sorted its own copy, that copy, compacted the same way,
+    /// replaces `queue`.
+    pub fn remove_admitted(&mut self, queue: &mut Vec<Request>) {
+        if let Some(sorted) = self.sorted.take() {
+            *queue = sorted;
+        }
+        drop_positions(queue, &self.admitted_positions);
+    }
+
+    /// Converts a from-scratch assignment (empty pre-occupancy) of `queue`
+    /// into a [`BatchingResult`]: full micro-batches first (in the order they
+    /// filled up), then the remaining partially filled ones in index order.
+    pub fn into_batching_result(mut self, queue: &[Request]) -> BatchingResult {
+        let aborted = self.deferred(queue);
         let mut micro_batches: Vec<MicroBatch> = Vec::new();
         for &idx in &self.filled_order {
             micro_batches.push(MicroBatch {
@@ -220,9 +257,24 @@ impl BackfillResult {
         }
         BatchingResult {
             micro_batches,
-            aborted: self.deferred,
+            aborted,
         }
     }
+}
+
+/// Removes the entries at `positions` (ascending) from `queue`, moving each
+/// run of survivors between them down in one block.
+fn drop_positions(queue: &mut Vec<Request>, positions: &[usize]) {
+    let Some(&first) = positions.first() else {
+        return;
+    };
+    let mut write = first;
+    for (k, &pos) in positions.iter().enumerate() {
+        let next = positions.get(k + 1).copied().unwrap_or(queue.len());
+        queue.copy_within(pos + 1..next, write);
+        write += next - pos - 1;
+    }
+    queue.truncate(write);
 }
 
 /// Runs the Algorithm 2 assignment over micro-batches that may already hold
@@ -391,7 +443,7 @@ mod tests {
         // All three fit the empty micro-batch (3 × 300 = 900 ≤ 1000); the occupied
         // one can only take one more (700 + 300 = 1000).
         assert_eq!(fill.admitted(), 3);
-        assert!(fill.deferred.is_empty());
+        assert!(fill.deferred(&queue).is_empty());
         assert!(
             fill.assignments[1].len() >= 2,
             "balance favours the empty one"
@@ -412,7 +464,7 @@ mod tests {
         let queue: Vec<Request> = (0..3).map(|id| Request::new(id, 100, 10)).collect();
         let fill = backfill_requests(&queue, &config, &occupied);
         assert_eq!(fill.admitted(), 1);
-        assert_eq!(fill.deferred.len(), 2);
+        assert_eq!(fill.deferred(&queue).len(), 2);
     }
 
     #[test]

@@ -64,6 +64,12 @@ pub trait Scheduler: fmt::Debug + Send + Sync {
     /// [`Scheduler::backfill_sorted`] instead of [`Scheduler::backfill`] and
     /// skip the per-event re-sort — the incremental re-planning path. The
     /// default is [`QueueOrder::Unordered`], which forces the sorting path.
+    ///
+    /// Declaring an order also promises that admission charges every request
+    /// at least its end-of-generation context ([`Request::max_context`]) of
+    /// KV: a serving loop may then skip a pass outright when no micro-batch
+    /// with a free slot has headroom for the smallest waiting request. Every
+    /// built-in scheduler keeps this promise.
     fn queue_order(&self) -> QueueOrder {
         QueueOrder::Unordered
     }
@@ -76,7 +82,14 @@ pub trait Scheduler: fmt::Debug + Send + Sync {
     /// The default implementation ignores the promise and delegates to
     /// [`Scheduler::backfill`] (always correct); implementations with a
     /// declared order override it to skip the sort. Results must be
-    /// *identical* to [`Scheduler::backfill`] on a correctly sorted queue.
+    /// *identical* to [`Scheduler::backfill`] on a correctly sorted queue:
+    /// the same assignments, fill order and deferred requests.
+    ///
+    /// The result reports admissions by position rather than copying the
+    /// queue: [`BackfillResult::admitted_positions`] index `queue` itself
+    /// (the built-ins leave [`BackfillResult::sorted`] empty here), so a
+    /// pass costs no queue-sized allocation and the caller drops the admitted
+    /// requests in place with [`BackfillResult::remove_admitted`].
     fn backfill_sorted(
         &self,
         queue: &[Request],
@@ -89,6 +102,10 @@ pub trait Scheduler: fmt::Debug + Send + Sync {
     /// Runs the assignment over micro-batches that may already hold in-flight
     /// requests (`occupied`, one entry per micro-batch): the continuous-batching
     /// path that re-fills slots freed by completed requests.
+    ///
+    /// An implementation that sorts its own copy of `queue` returns it in
+    /// [`BackfillResult::sorted`], and its
+    /// [`BackfillResult::admitted_positions`] index that copy.
     ///
     /// # Panics
     ///
@@ -110,7 +127,8 @@ pub trait Scheduler: fmt::Debug + Send + Sync {
     /// Panics under the same conditions as [`Scheduler::backfill`].
     fn plan(&self, queue: &[Request], cfg: &BatchingConfig) -> BatchingResult {
         let empty = vec![PartitionState::default(); cfg.num_micro_batches];
-        self.backfill(queue, cfg, &empty).into_batching_result()
+        self.backfill(queue, cfg, &empty)
+            .into_batching_result(queue)
     }
 
     /// Like [`Scheduler::plan`], but `queue` is promised to already be in this
@@ -119,7 +137,7 @@ pub trait Scheduler: fmt::Debug + Send + Sync {
     fn plan_sorted(&self, queue: &[Request], cfg: &BatchingConfig) -> BatchingResult {
         let empty = vec![PartitionState::default(); cfg.num_micro_batches];
         self.backfill_sorted(queue, cfg, &empty)
-            .into_batching_result()
+            .into_batching_result(queue)
     }
 }
 
@@ -161,10 +179,11 @@ impl QueueOrder {
     }
 
     /// Sorts `queue` into this order ([`QueueOrder::Unordered`] leaves it
-    /// untouched).
+    /// untouched). The order is total over a queue's unique ids, so the sort
+    /// runs in place, without a queue-sized scratch buffer.
     pub fn sort(self, queue: &mut [Request]) {
         if self != QueueOrder::Unordered {
-            queue.sort_by(|a, b| self.cmp(a, b));
+            queue.sort_unstable_by(|a, b| self.cmp(a, b));
         }
     }
 
@@ -196,6 +215,12 @@ enum Placement {
 /// `padded` charges each request the KV footprint of the longest prompt in the
 /// queue instead of its own (`FcfsPadded`'s padding waste); the charge is an
 /// upper bound on real usage, so budget invariants hold for actual sizes too.
+///
+/// A pass costs one compare per deferred request and O(micro-batches) per
+/// admitted one: `best`, the largest KV headroom among micro-batches with a
+/// free request slot, changes only on an admission, and a request charged
+/// more than `best` fits nowhere. The waiting queue is never copied on the
+/// presorted path — admissions are reported by position.
 fn run_assignment(
     queue: &[Request],
     cfg: &BatchingConfig,
@@ -219,7 +244,7 @@ fn run_assignment(
     let mut assignments: Vec<Vec<Request>> = vec![Vec::new(); cfg.num_micro_batches];
     let mut state: Vec<PartitionState> = occupied.to_vec();
     let mut filled_order = Vec::new();
-    let mut deferred = Vec::new();
+    let mut admitted_positions = Vec::new();
 
     let pad = if padded {
         queue.iter().map(|r| r.input_len).max().unwrap_or(0)
@@ -230,21 +255,18 @@ fn run_assignment(
     // The incremental path: a caller that kept its queue in admission order
     // (binary-search insertion per arrival) skips the O(n log n) re-sort every
     // scheduling event pays otherwise.
-    let owned: Vec<Request>;
-    let sorted: &[Request] = if presorted {
+    let owned = if presorted {
         debug_assert!(
             queue.windows(2).all(|w| order.cmp(&w[0], &w[1]).is_lt()),
             "caller promised a queue sorted in {order:?} order"
         );
-        queue
+        None
     } else {
-        owned = {
-            let mut q = queue.to_vec();
-            order.sort(&mut q);
-            q
-        };
-        &owned
+        let mut q = queue.to_vec();
+        order.sort(&mut q);
+        Some(q)
     };
+    let sorted: &[Request] = owned.as_deref().unwrap_or(queue);
 
     let kv_cost = |r: &Request| {
         if padded {
@@ -253,6 +275,8 @@ fn run_assignment(
             r.max_context()
         }
     };
+    let budget = cfg.cache_tokens_per_micro_batch;
+    let ubs = cfg.max_requests_per_micro_batch;
 
     // The policy sizes `num_micro_batches` for a *full* batch; an underfilled
     // queue opens only as many micro-batches as its work requires — by request
@@ -271,13 +295,22 @@ fn run_assignment(
     let admissible = sorted
         .len()
         .min(cfg.max_scheduled_requests.saturating_sub(in_flight));
-    let slots_needed = (in_flight + admissible).div_ceil(cfg.max_requests_per_micro_batch);
-    let kv_needed: u64 = state.iter().map(|p| p.cache_tokens).sum::<u64>()
-        + sorted[..admissible].iter().map(kv_cost).sum::<u64>();
-    let cache_slots_needed = if cfg.cache_tokens_per_micro_batch == 0 {
+    let slots_needed = (in_flight + admissible).div_ceil(ubs);
+    // Summed wide: residual reservations may sit anywhere up to `u64::MAX`.
+    let kv_needed: u128 = state
+        .iter()
+        .map(|p| u128::from(p.cache_tokens))
+        .sum::<u128>()
+        + sorted[..admissible]
+            .iter()
+            .map(|r| u128::from(kv_cost(r)))
+            .sum::<u128>();
+    let cache_slots_needed = if budget == 0 {
         cfg.num_micro_batches
     } else {
-        kv_needed.div_ceil(cfg.cache_tokens_per_micro_batch) as usize
+        kv_needed
+            .div_ceil(u128::from(budget))
+            .min(cfg.num_micro_batches as u128) as usize
     };
     let target_open = slots_needed
         .max(cache_slots_needed)
@@ -293,27 +326,47 @@ fn run_assignment(
     open.extend(closed.drain(..empty_needed.min(closed.len())));
     open.sort_unstable();
 
-    let slot_capacity = cfg.num_micro_batches * cfg.max_requests_per_micro_batch;
-    let mut total_requests: usize = state.iter().map(|p| p.requests).sum();
+    // KV headroom of a micro-batch with a free request slot (`None`: no slot,
+    // or residual reservations already at or past the budget). Written as a
+    // subtraction so occupancies near `u64::MAX` cannot overflow.
+    let headroom = |p: &PartitionState| {
+        if p.requests < ubs {
+            budget.checked_sub(p.cache_tokens)
+        } else {
+            None
+        }
+    };
+    let best_headroom = |state: &[PartitionState]| state.iter().filter_map(headroom).max();
+
+    // The total-admission cap, or every request slot taken.
+    let total_cap = cfg
+        .max_scheduled_requests
+        .min(cfg.num_micro_batches.saturating_mul(ubs));
     let mut scheduled = in_flight;
-    for (pos, req) in sorted.iter().copied().enumerate() {
-        // Once the total-admission cap or every request slot is exhausted,
-        // nothing further can ever be admitted — defer the rest in bulk
-        // instead of probing each request against a saturated pipeline (the
-        // common steady state of a loaded continuous-batching replica).
-        if scheduled >= cfg.max_scheduled_requests || total_requests >= slot_capacity {
-            deferred.extend_from_slice(&sorted[pos..]);
+    let mut best = best_headroom(&state);
+    let mut pos = 0;
+    // Once the total-admission cap or every request slot is exhausted, or no
+    // micro-batch with a free slot has any headroom left (`best` is `None`),
+    // nothing further can ever be admitted — the rest of the queue is
+    // deferred without being looked at (the common steady state of a loaded
+    // continuous-batching replica).
+    while let Some(limit) = best {
+        if scheduled >= total_cap {
             break;
         }
+        // A request charged more than the best headroom fits no micro-batch,
+        // open or closed: skip the whole deferred run with one compare each.
+        let Some(skip) = sorted[pos..].iter().position(|r| kv_cost(r) <= limit) else {
+            break;
+        };
+        pos += skip;
+        let req = sorted[pos];
         let cost = kv_cost(&req);
         // Eligibility: a free request slot and KV headroom for this request.
         // Checking headroom *before* the placement choice is the spill behaviour:
         // a cache-saturated micro-batch never forces a defer while its neighbours
         // have room.
-        let fits = |i: usize| {
-            state[i].requests < cfg.max_requests_per_micro_batch
-                && state[i].cache_tokens + cost <= cfg.cache_tokens_per_micro_batch
-        };
+        let fits = |i: usize| headroom(&state[i]).is_some_and(|h| cost <= h);
         let target = match placement {
             Placement::Balanced => open
                 .iter()
@@ -332,35 +385,42 @@ fn run_assignment(
             // No open micro-batch can hold the request: open the first closed
             // one that can (the up-front sizing is a lower bound). The same
             // `fits` check applies — a closed micro-batch may carry residual
-            // KV reservations even with no requests in flight.
-            None => match closed.iter().position(|&i| fits(i)) {
-                Some(pos) => {
-                    let next = closed.remove(pos).expect("position is in bounds");
-                    open.push(next);
-                    open.sort_unstable();
-                    next
-                }
-                None => {
-                    deferred.push(req);
-                    continue;
-                }
-            },
+            // KV reservations even with no requests in flight. `cost <= best`
+            // guarantees one exists.
+            None => {
+                let at = closed
+                    .iter()
+                    .position(|&i| fits(i))
+                    .expect("the headroom bound admits only requests that fit somewhere");
+                let next = closed.remove(at).expect("position is in bounds");
+                open.push(next);
+                open.sort_unstable();
+                next
+            }
         };
+        // Only the receiving micro-batch lost headroom: the bound moves only
+        // if it held the maximum.
+        let held_best = headroom(&state[idx]) == best;
         state[idx].requests += 1;
         state[idx].prompt_tokens += req.input_len;
         state[idx].cache_tokens += cost;
         assignments[idx].push(req);
+        admitted_positions.push(pos);
         scheduled += 1;
-        total_requests += 1;
-        if state[idx].requests == cfg.max_requests_per_micro_batch {
+        if state[idx].requests == ubs {
             filled_order.push(idx);
         }
+        if held_best {
+            best = best_headroom(&state);
+        }
+        pos += 1;
     }
 
     BackfillResult {
         assignments,
-        deferred,
         filled_order,
+        admitted_positions,
+        sorted: owned,
     }
 }
 
@@ -586,8 +646,157 @@ pub fn builtin_schedulers() -> Vec<Box<dyn Scheduler>> {
     ]
 }
 
+/// The test-only differential oracle for [`run_assignment`]: the direct
+/// transcription of the assignment loop, probing every micro-batch for every
+/// waiting request and copying the deferred ones out one by one. Not a
+/// production path — it pins the headroom-bound skip and the positional
+/// result to the plain loop, decision for decision.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    /// A backfill as plain data: per-micro-batch assignments, the deferred
+    /// requests in admission order, and the fill order.
+    pub(super) type Outcome = (Vec<Vec<Request>>, Vec<Request>, Vec<usize>);
+
+    /// Projects a [`BackfillResult`] of `queue` onto an [`Outcome`].
+    pub(super) fn outcome(fill: &BackfillResult, queue: &[Request]) -> Outcome {
+        (
+            fill.assignments.clone(),
+            fill.deferred(queue),
+            fill.filled_order.clone(),
+        )
+    }
+
+    /// The admission order, placement rule and padding of a built-in
+    /// scheduler, looked up by name.
+    pub(super) fn params(scheduler: &dyn Scheduler) -> (QueueOrder, Placement, bool) {
+        match scheduler.name() {
+            "algo2" => (QueueOrder::LongestPromptFirst, Placement::Balanced, false),
+            "sjf" => (QueueOrder::ShortestJobFirst, Placement::Balanced, false),
+            "token-budget" => (QueueOrder::Arrival, Placement::CountBalanced, false),
+            "fcfs-pad" => (QueueOrder::Arrival, Placement::FirstFit, true),
+            other => panic!("no oracle parameters for {other}"),
+        }
+    }
+
+    /// The reference assignment of `queue` (any order) over `occupied`.
+    pub(super) fn reference(
+        queue: &[Request],
+        cfg: &BatchingConfig,
+        occupied: &[PartitionState],
+        (order, placement, padded): (QueueOrder, Placement, bool),
+    ) -> Outcome {
+        let mut assignments: Vec<Vec<Request>> = vec![Vec::new(); cfg.num_micro_batches];
+        let mut state: Vec<PartitionState> = occupied.to_vec();
+        let mut filled_order = Vec::new();
+        let mut deferred = Vec::new();
+        let pad = if padded {
+            queue.iter().map(|r| r.input_len).max().unwrap_or(0)
+        } else {
+            0
+        };
+        let mut sorted = queue.to_vec();
+        order.sort(&mut sorted);
+        let kv_cost = |r: &Request| {
+            if padded {
+                pad.max(r.input_len) + r.gen_len
+            } else {
+                r.max_context()
+            }
+        };
+        let in_flight: usize = state.iter().map(|p| p.requests).sum();
+        let admissible = sorted
+            .len()
+            .min(cfg.max_scheduled_requests.saturating_sub(in_flight));
+        let slots_needed = (in_flight + admissible).div_ceil(cfg.max_requests_per_micro_batch);
+        let kv_needed: u128 = state
+            .iter()
+            .map(|p| p.cache_tokens as u128)
+            .chain(sorted[..admissible].iter().map(|r| kv_cost(r) as u128))
+            .sum();
+        let cache_slots_needed = if cfg.cache_tokens_per_micro_batch == 0 {
+            cfg.num_micro_batches
+        } else {
+            kv_needed
+                .div_ceil(cfg.cache_tokens_per_micro_batch as u128)
+                .min(cfg.num_micro_batches as u128) as usize
+        };
+        let target_open = slots_needed
+            .max(cache_slots_needed)
+            .max(1)
+            .min(cfg.num_micro_batches);
+        let mut open: Vec<usize> = (0..cfg.num_micro_batches)
+            .filter(|&i| state[i].requests > 0)
+            .collect();
+        let empty_needed = target_open.saturating_sub(open.len());
+        let mut closed: std::collections::VecDeque<usize> = (0..cfg.num_micro_batches)
+            .filter(|&i| state[i].requests == 0)
+            .collect();
+        open.extend(closed.drain(..empty_needed.min(closed.len())));
+        open.sort_unstable();
+
+        let slot_capacity = cfg.num_micro_batches * cfg.max_requests_per_micro_batch;
+        let mut total_requests: usize = in_flight;
+        let mut scheduled = in_flight;
+        for req in sorted {
+            if scheduled >= cfg.max_scheduled_requests || total_requests >= slot_capacity {
+                deferred.push(req);
+                continue;
+            }
+            let cost = kv_cost(&req);
+            let fits = |i: usize| {
+                state[i].requests < cfg.max_requests_per_micro_batch
+                    && state[i]
+                        .cache_tokens
+                        .checked_add(cost)
+                        .is_some_and(|total| total <= cfg.cache_tokens_per_micro_batch)
+            };
+            let target = match placement {
+                Placement::Balanced => open
+                    .iter()
+                    .copied()
+                    .filter(|&i| fits(i))
+                    .min_by_key(|&i| (state[i].prompt_tokens, i)),
+                Placement::FirstFit => open.iter().copied().find(|&i| fits(i)),
+                Placement::CountBalanced => open
+                    .iter()
+                    .copied()
+                    .filter(|&i| fits(i))
+                    .min_by_key(|&i| (state[i].requests, i)),
+            };
+            let idx = match target {
+                Some(idx) => idx,
+                None => match closed.iter().position(|&i| fits(i)) {
+                    Some(pos) => {
+                        let next = closed.remove(pos).expect("position is in bounds");
+                        open.push(next);
+                        open.sort_unstable();
+                        next
+                    }
+                    None => {
+                        deferred.push(req);
+                        continue;
+                    }
+                },
+            };
+            state[idx].requests += 1;
+            state[idx].prompt_tokens += req.input_len;
+            state[idx].cache_tokens += cost;
+            assignments[idx].push(req);
+            scheduled += 1;
+            total_requests += 1;
+            if state[idx].requests == cfg.max_requests_per_micro_batch {
+                filled_order.push(idx);
+            }
+        }
+        (assignments, deferred, filled_order)
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::oracle::{outcome, params, reference};
     use super::*;
 
     fn cfg(n_ub: usize, ubs: usize, cache: u64) -> BatchingConfig {
@@ -652,7 +861,7 @@ mod tests {
         );
         let admitted: Vec<u64> = fill.assignments[0].iter().map(|r| r.id).collect();
         assert_eq!(admitted, vec![0, 1]);
-        assert_eq!(fill.deferred[0].id, 2);
+        assert_eq!(fill.deferred(&queue)[0].id, 2);
         // Algorithm 2 admits the long one first instead.
         let fill = Algorithm2.backfill(
             &queue,
@@ -672,7 +881,7 @@ mod tests {
         );
         let admitted: Vec<u64> = fill.assignments[0].iter().map(|r| r.id).collect();
         assert_eq!(admitted, vec![1, 2], "shortest gen_len goes first");
-        assert_eq!(fill.deferred[0].id, 0);
+        assert_eq!(fill.deferred(&queue)[0].id, 0);
     }
 
     #[test]
@@ -784,7 +993,7 @@ mod tests {
                 "{}: no micro-batch has 1000 tokens of headroom",
                 scheduler.name()
             );
-            assert_eq!(fill.deferred.len(), 1);
+            assert_eq!(fill.deferred(&[big]).len(), 1);
         }
         // With a lighter residual reservation, the same on-demand opening
         // admits the request into the reopened micro-batch.
@@ -841,8 +1050,8 @@ mod tests {
             let fast = scheduler.backfill_sorted(&sorted, &config, &occupied);
             let slow = scheduler.backfill(&queue, &config, &occupied);
             assert_eq!(
-                fast,
-                slow,
+                outcome(&fast, &sorted),
+                outcome(&slow, &queue),
                 "{}: the presorted path must be byte-identical",
                 scheduler.name()
             );
@@ -862,16 +1071,69 @@ mod tests {
         for scheduler in builtin_schedulers() {
             let fill = scheduler.backfill(&queue, &cfg(2, 4, 10_000), &full);
             assert_eq!(fill.admitted(), 0, "{}", scheduler.name());
-            assert_eq!(fill.deferred.len(), 30);
+            let deferred = fill.deferred(&queue);
+            assert_eq!(deferred.len(), 30);
             let mut expected = queue.clone();
             scheduler.queue_order().sort(&mut expected);
             assert_eq!(
-                fill.deferred.iter().map(|r| r.id).collect::<Vec<_>>(),
+                deferred.iter().map(|r| r.id).collect::<Vec<_>>(),
                 expected.iter().map(|r| r.id).collect::<Vec<_>>(),
                 "{}: deferral keeps admission order",
                 scheduler.name()
             );
         }
+    }
+
+    #[test]
+    fn residual_kv_near_u64_max_neither_overflows_nor_admits_over_budget() {
+        // A huge budget with residual reservations just under it: summing
+        // `cache_tokens + cost` overflowed here (a panic in debug builds, a
+        // wrapped "fits" — an over-budget admission — in release). mb0 has
+        // 10 tokens of headroom, mb1 500, mb2 none (its residual is past the
+        // budget).
+        let occupied = [
+            PartitionState {
+                requests: 1,
+                prompt_tokens: 10,
+                cache_tokens: u64::MAX - 11,
+            },
+            PartitionState {
+                requests: 0,
+                prompt_tokens: 0,
+                cache_tokens: u64::MAX - 501,
+            },
+            PartitionState {
+                requests: 0,
+                prompt_tokens: 0,
+                cache_tokens: u64::MAX,
+            },
+        ];
+        let config = cfg(3, 8, u64::MAX - 1);
+        let queue = vec![req(0, 100, 50), req(1, 300, 100), req(2, 5, 5)];
+        for scheduler in builtin_schedulers() {
+            let fill = scheduler.backfill(&queue, &config, &occupied);
+            for (i, admitted) in fill.assignments.iter().enumerate() {
+                let added: u64 = admitted.iter().map(Request::max_context).sum();
+                let headroom = config
+                    .cache_tokens_per_micro_batch
+                    .saturating_sub(occupied[i].cache_tokens);
+                assert!(added <= headroom, "{}: mb{i} over budget", scheduler.name());
+            }
+            assert!(fill.assignments[2].is_empty(), "{}", scheduler.name());
+            assert_eq!(
+                outcome(&fill, &queue),
+                reference(&queue, &config, &occupied, params(scheduler.as_ref())),
+                "{}",
+                scheduler.name()
+            );
+        }
+        // Algorithm 2: the 400-token request goes to mb1 (the only headroom
+        // for it), the 150-token one then fits nowhere, the 10-token one
+        // lands on the lighter mb0.
+        let fill = Algorithm2.backfill(&queue, &config, &occupied);
+        let ids = |p: usize| fill.assignments[p].iter().map(|r| r.id).collect::<Vec<_>>();
+        assert_eq!((ids(0), ids(1)), (vec![2], vec![1]));
+        assert_eq!(fill.deferred(&queue), vec![queue[0]]);
     }
 
     #[test]
@@ -886,6 +1148,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::oracle::{outcome, params, reference};
     use super::*;
     use proptest::prelude::*;
 
@@ -918,6 +1181,71 @@ mod proptests {
                 })
                 .collect()
         })
+    }
+
+    /// Requests for the differential oracle: half on a 50-token grid (so
+    /// charges land exactly on a micro-batch's remaining headroom), one in
+    /// four with nothing to generate, arrivals on a coarse grid (ties break
+    /// by id).
+    fn oracle_requests() -> impl Strategy<Value = Vec<Request>> {
+        proptest::collection::vec((0u8..2, 1u64..2048, 0u8..4, 1u64..256, 0u64..4), 0..120)
+            .prop_map(|v| {
+                v.into_iter()
+                    .enumerate()
+                    .map(|(i, (grid, len, zero, gen, slot))| {
+                        let (input_len, gen_len) = if grid == 0 {
+                            (50 * (1 + len % 16), 50 * (gen % 4))
+                        } else {
+                            (len, gen)
+                        };
+                        let gen_len = if zero == 0 { 0 } else { gen_len };
+                        let mut r = Request::new(i as u64, input_len, gen_len);
+                        r.arrival = moe_hardware::Seconds::from_secs(slot as f64);
+                        r
+                    })
+                    .collect()
+            })
+    }
+
+    /// A per-micro-batch KV budget: unbounded, on the 50-token grid, or
+    /// arbitrary.
+    fn oracle_budget() -> impl Strategy<Value = u64> {
+        (0u8..3, 1_000u64..40_000).prop_map(|(pick, b)| match pick {
+            0 => u64::MAX,
+            1 => b / 50 * 50,
+            _ => b,
+        })
+    }
+
+    /// Occupancies beyond what a serving loop produces: request counts up to
+    /// one past the cap (a custom scheduler throttling the cap below what is
+    /// in flight), residual KV up to 1.5x the budget, exactly at it or a
+    /// grid step below it, and reservations within a few tokens of
+    /// `u64::MAX`.
+    fn residual_occupancy(
+        n_ub: usize,
+        ubs: usize,
+        cache: u64,
+    ) -> impl Strategy<Value = Vec<PartitionState>> {
+        proptest::collection::vec((0usize..ubs + 2, 0f64..1.5, 0u8..6, 0u64..600), n_ub).prop_map(
+            move |v| {
+                v.into_iter()
+                    .map(|(requests, cf, pick, below)| {
+                        let cache_tokens = match pick {
+                            0 => u64::MAX - below,
+                            1 => cache,
+                            2 => cache.saturating_sub(below / 50 * 50),
+                            _ => (cf * cache as f64) as u64,
+                        };
+                        PartitionState {
+                            requests,
+                            prompt_tokens: cache_tokens / 2,
+                            cache_tokens,
+                        }
+                    })
+                    .collect()
+            },
+        )
     }
 
     proptest! {
@@ -985,6 +1313,55 @@ mod proptests {
             }
         }
 
+        /// Differential oracle: the headroom-bound pass over a presorted
+        /// queue and the sorting pass over an unsorted one both make exactly
+        /// the reference loop's decisions — per-micro-batch assignments,
+        /// deferred order and fill order — for every scheduler, and
+        /// `remove_admitted` leaves exactly the deferred requests.
+        #[test]
+        fn backfill_matches_the_reference_loop(
+            (reqs, n_ub, ubs, cache, cap, occupied) in (
+                oracle_requests(),
+                1usize..6,
+                1usize..24,
+                oracle_budget(),
+                1usize..160,
+            )
+                .prop_flat_map(|(reqs, n_ub, ubs, cache, cap)| {
+                    (
+                        Just(reqs),
+                        Just(n_ub),
+                        Just(ubs),
+                        Just(cache),
+                        Just(cap),
+                        residual_occupancy(n_ub, ubs, cache),
+                    )
+                }),
+        ) {
+            let cfg = BatchingConfig {
+                num_micro_batches: n_ub,
+                max_requests_per_micro_batch: ubs,
+                max_scheduled_requests: cap,
+                cache_tokens_per_micro_batch: cache,
+            };
+            for scheduler in builtin_schedulers() {
+                let expected = reference(&reqs, &cfg, &occupied, params(scheduler.as_ref()));
+                let mut sorted = reqs.clone();
+                scheduler.queue_order().sort(&mut sorted);
+                let mut fast = scheduler.backfill_sorted(&sorted, &cfg, &occupied);
+                prop_assert!(fast.sorted.is_none(), "{} copied a presorted queue", scheduler.name());
+                prop_assert_eq!(outcome(&fast, &sorted), expected.clone(), "{} presorted", scheduler.name());
+                let mut slow = scheduler.backfill(&reqs, &cfg, &occupied);
+                prop_assert_eq!(outcome(&slow, &reqs), expected.clone(), "{} unsorted", scheduler.name());
+                let mut waiting = sorted;
+                fast.remove_admitted(&mut waiting);
+                prop_assert_eq!(&waiting, &expected.1);
+                let mut waiting = reqs.clone();
+                slow.remove_admitted(&mut waiting);
+                prop_assert_eq!(&waiting, &expected.1);
+            }
+        }
+
         /// Incremental path: `backfill_sorted` on a pre-sorted queue is
         /// byte-identical to `backfill` on the unsorted one, for every
         /// scheduler, arbitrary queues and occupancies.
@@ -1019,7 +1396,12 @@ mod proptests {
                 scheduler.queue_order().sort(&mut sorted);
                 let fast = scheduler.backfill_sorted(&sorted, &cfg, &occupied);
                 let slow = scheduler.backfill(&reqs, &cfg, &occupied);
-                prop_assert_eq!(fast, slow, "{} diverged on the presorted path", scheduler.name());
+                prop_assert_eq!(
+                    outcome(&fast, &sorted),
+                    outcome(&slow, &reqs),
+                    "{} diverged on the presorted path",
+                    scheduler.name()
+                );
             }
         }
 
@@ -1056,7 +1438,7 @@ mod proptests {
             for scheduler in builtin_schedulers() {
                 let fill = scheduler.backfill(&reqs, &cfg, &occupied);
                 // Conservation at the event: admitted + deferred = queue.
-                prop_assert_eq!(fill.admitted() + fill.deferred.len(), reqs.len());
+                prop_assert_eq!(fill.admitted() + fill.deferred(&reqs).len(), reqs.len());
                 // Total cap counts the in-flight requests.
                 prop_assert!(
                     in_flight + fill.admitted() <= cap.max(in_flight),

@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks for the core machinery of the reproduction: HRM
 //! evaluation, the policy optimizer, schedule construction + discrete-event
-//! simulation, request batching and the numeric kernels.
+//! simulation against the one-pass step makespan, request batching and the
+//! numeric kernels.
 //!
 //! Run with `cargo bench -p moe-bench`.
 
@@ -65,6 +66,9 @@ fn bench_schedules(c: &mut Criterion) {
                 let graph = builder.build(kind).unwrap();
                 simulate(&graph).unwrap().makespan
             })
+        });
+        c.bench_function(&format!("schedule/step_makespan/{kind:?}"), |b| {
+            b.iter(|| builder.step_makespan(kind))
         });
     }
 }

@@ -192,7 +192,6 @@ pub struct ReplicaEngine {
     round_step: Seconds,
     in_round: Vec<PendingCompletion>,
     kv_in_round: u64,
-    step_memo: HashMap<(Vec<u64>, Vec<u64>), Seconds>,
     /// The last computed decode-step latency and the concurrency it was
     /// computed at — the admission controller's TTFT estimator.
     recent_step: Option<(Seconds, u64)>,
@@ -262,7 +261,6 @@ impl ReplicaEngine {
             round_step: Seconds::ZERO,
             in_round: Vec::new(),
             kv_in_round: 0,
-            step_memo: HashMap::new(),
             recent_step: None,
             rounds: Vec::new(),
             latencies: Vec::new(),
@@ -1033,8 +1031,7 @@ impl ReplicaEngine {
     }
 
     /// Re-derives the decode-step latency for the current occupancy and KV
-    /// load, resetting the segment origin (memoized like the single-node
-    /// loop).
+    /// load, resetting the segment origin.
     fn refresh_step(&mut self) -> Result<(), EngineError> {
         self.segment_start = self.clock;
         if self.active.is_empty() {
@@ -1053,13 +1050,6 @@ impl ReplicaEngine {
             .filter(|p| p.requests > 0)
             .map(|p| mean_decode_context(p.prompt_tokens, p.cache_tokens, p.requests as u64))
             .collect();
-        let key = (occupancy.clone(), contexts.clone());
-        if let Some(&step) = self.step_memo.get(&key) {
-            self.step = step;
-            self.recent_step = Some((step, self.active.len() as u64));
-            self.note_decode_rate(step, self.active.len() as u64);
-            return Ok(());
-        }
         let total_active = self.active.len() as u64;
         let prompt_sum: u64 = self.active.iter().map(|a| a.request.input_len).sum();
         let mean_prompt = prompt_sum.div_ceil(total_active).max(1);
@@ -1083,7 +1073,6 @@ impl ReplicaEngine {
             Some(&occupancy),
             Some(&contexts),
         )?;
-        self.step_memo.insert(key, step);
         self.step = step;
         self.recent_step = Some((step, self.active.len() as u64));
         self.note_decode_rate(step, self.active.len() as u64);
@@ -1181,21 +1170,13 @@ impl ReplicaEngine {
             micro_batch_size: self.policy.micro_batch_size.min(requests),
             ..self.policy
         };
-        let key = (occupancy.clone(), contexts.clone());
-        let step = match self.step_memo.get(&key) {
-            Some(&s) => s,
-            None => {
-                let s = self.evaluator.decode_step_latency_with_loads(
-                    self.schedule,
-                    &policy,
-                    &shape,
-                    Some(&occupancy),
-                    Some(&contexts),
-                )?;
-                self.step_memo.insert(key, s);
-                s
-            }
-        };
+        let step = self.evaluator.decode_step_latency_with_loads(
+            self.schedule,
+            &policy,
+            &shape,
+            Some(&occupancy),
+            Some(&contexts),
+        )?;
         // Credited tokens skip the prompt pass only; the decode step above
         // was costed on the full context, which still occupies KV here.
         let credited = self.credit_admitted(

@@ -1,9 +1,14 @@
 //! The end-to-end evaluator: combines policy generation, the HRM cost model and the
-//! simulated pipeline schedules into the generation-throughput numbers reported in
-//! the paper's evaluation (Fig. 7, Fig. 8, Tab. 4, Tab. 5).
+//! pipeline schedules into the generation-throughput numbers reported in the
+//! paper's evaluation (Fig. 7, Fig. 8, Tab. 4, Tab. 5).
 //!
 //! This module holds the *costing* side of the stack — [`SystemEvaluator`]
-//! prices policies, prefills and decode steps. The *serving* side (the
+//! prices policies, prefills and decode steps. A decode step is costed by
+//! walking its schedule once ([`DecodeScheduleBuilder::step_makespan`]): each
+//! lane runs its tasks in order and every dependency points back, so one pass
+//! with four lane clocks gives the exact makespan. No task graph is built;
+//! [`moe_sim::simulate`] stays the Fig. 6 timeline engine and the oracle the
+//! one-pass makespan is tested against. The *serving* side (the
 //! [`crate::engine::ReplicaEngine`] event machine that turns those costs into
 //! request latencies) lives in [`crate::engine`], which re-exports this
 //! module's items for backwards-compatible `moe_lightning::engine::…` paths.
@@ -17,15 +22,14 @@ use moe_policy::{
     WorkloadShape,
 };
 use moe_schedule::{DecodeScheduleBuilder, ScheduleKind};
-use moe_sim::simulate;
 use moe_workload::{BatchRunReport, BatchingConfigError, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Default number of layers actually simulated by the discrete-event engine; the
-/// decode-step makespan is extrapolated linearly to the full depth (layer pipelines
-/// are homogeneous, so the approximation error is limited to the prologue of the
-/// first simulated layer). Override per evaluator with
+/// Default number of layers a decode step is evaluated over; the step's makespan
+/// is extrapolated linearly to the full depth (layer pipelines are homogeneous,
+/// so the approximation error is limited to the prologue of the first evaluated
+/// layer). Override per evaluator with
 /// [`SystemEvaluator::with_simulated_layers`].
 pub const DEFAULT_SIMULATED_LAYERS: u32 = 4;
 
@@ -42,9 +46,10 @@ pub enum EngineError {
         /// The system being evaluated.
         system: SystemKind,
     },
-    /// The schedule simulation failed (indicates an internal bug).
+    /// Decode-step costing rejected its inputs (an empty or zero occupancy, a
+    /// zero context, a zero batch size, mismatched lengths).
     Simulation {
-        /// Formatted simulator error.
+        /// What was wrong.
         message: String,
     },
     /// A serving session was configured with batching limits that can never
@@ -71,7 +76,7 @@ impl fmt::Display for EngineError {
                 )
             }
             EngineError::Simulation { message } => {
-                write!(f, "schedule simulation failed: {message}")
+                write!(f, "decode-step costing failed: {message}")
             }
             EngineError::InvalidBatchingConfig { reason } => {
                 write!(f, "invalid batching configuration: {reason}")
@@ -110,8 +115,8 @@ pub struct SystemEvaluator {
 }
 
 impl SystemEvaluator {
-    /// Creates an evaluator. The discrete-event simulation covers
-    /// [`DEFAULT_SIMULATED_LAYERS`] layers (or the full model if shallower) and is
+    /// Creates an evaluator. Decode steps are evaluated over
+    /// [`DEFAULT_SIMULATED_LAYERS`] layers (or the full model if shallower) and
     /// extrapolated linearly to the model's depth.
     pub fn new(node: NodeSpec, model: MoeModelConfig) -> Self {
         let cost = CostModel::new(node.clone(), model.clone());
@@ -124,9 +129,9 @@ impl SystemEvaluator {
         }
     }
 
-    /// Overrides how many layers the discrete-event engine simulates before the
-    /// makespan is extrapolated to the full depth. More layers cost simulation time
-    /// but shrink the prologue approximation error.
+    /// Overrides how many layers a decode step is evaluated over before the
+    /// makespan is extrapolated to the full depth. More layers cost evaluation
+    /// time but shrink the prologue approximation error.
     ///
     /// # Panics
     ///
@@ -142,7 +147,7 @@ impl SystemEvaluator {
         self
     }
 
-    /// Number of layers the discrete-event engine simulates before extrapolation.
+    /// Number of layers a decode step is evaluated over before extrapolation.
     pub fn simulated_layers(&self) -> u32 {
         self.simulated_layers
     }
@@ -214,12 +219,12 @@ impl SystemEvaluator {
             .ok_or(EngineError::NoFeasiblePolicy { system })
     }
 
-    /// Simulated decode-step latency (all layers, one token per sequence) of a policy
-    /// under a schedule.
+    /// Decode-step latency (all layers, one token per sequence) of a policy under
+    /// a schedule.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::Simulation`] if the schedule cannot be simulated.
+    /// Returns [`EngineError::Simulation`] if the policy's batch size is zero.
     pub fn decode_step_latency(
         &self,
         schedule: ScheduleKind,
@@ -229,14 +234,15 @@ impl SystemEvaluator {
         self.decode_step_latency_with_occupancy(schedule, policy, workload, None)
     }
 
-    /// Simulated decode-step latency with explicit per-micro-batch occupancies
-    /// (active sequences per micro-batch). `None` falls back to the policy's
-    /// uniform split; the request-level serving loop passes the actual Algorithm 2
+    /// Decode-step latency with explicit per-micro-batch occupancies (active
+    /// sequences per micro-batch). `None` falls back to the policy's uniform
+    /// split; the request-level serving loop passes the actual Algorithm 2
     /// assignment so pipeline bubbles reflect real imbalance.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::Simulation`] if the schedule cannot be simulated.
+    /// Returns [`EngineError::Simulation`] if the policy's batch size is zero or
+    /// `occupancy` is empty or holds a zero entry.
     pub fn decode_step_latency_with_occupancy(
         &self,
         schedule: ScheduleKind,
@@ -247,16 +253,24 @@ impl SystemEvaluator {
         self.decode_step_latency_with_loads(schedule, policy, workload, occupancy, None)
     }
 
-    /// Simulated decode-step latency with explicit per-micro-batch occupancies
-    /// *and* mean decode contexts (KV tokens each active sequence reads), so the
+    /// Decode-step latency with explicit per-micro-batch occupancies *and*
+    /// mean decode contexts (KV tokens each active sequence reads), so the
     /// pipeline sees both kinds of imbalance a batch-formation strategy can
     /// produce: sequence-count skew and token-load skew. `contexts` requires
     /// `occupancy` of the same length.
     ///
+    /// This is the call every admission and retirement of the serving engine
+    /// makes. It evaluates the schedule in one pass with
+    /// [`DecodeScheduleBuilder::step_makespan`], which equals the
+    /// discrete-event makespan of the built task graph bit for bit, without
+    /// building the graph.
+    ///
     /// # Errors
     ///
-    /// Returns [`EngineError::Simulation`] if `contexts` is given without an
-    /// `occupancy` of the same length, or if the schedule cannot be simulated.
+    /// Returns [`EngineError::Simulation`] if the policy's batch size is zero,
+    /// if `occupancy` is empty or holds a zero entry, if `contexts` holds a
+    /// zero entry, or if `contexts` is given without an `occupancy` of the
+    /// same length.
     pub fn decode_step_latency_with_loads(
         &self,
         schedule: ScheduleKind,
@@ -265,17 +279,31 @@ impl SystemEvaluator {
         occupancy: Option<&[u64]>,
         contexts: Option<&[u64]>,
     ) -> Result<Seconds, EngineError> {
+        let invalid = |message: String| Err(EngineError::Simulation { message });
+        if policy.batch_size == 0 {
+            return invalid("the policy's batch size must be positive".into());
+        }
+        if let Some(occ) = occupancy {
+            if occ.is_empty() || occ.contains(&0) {
+                return invalid(format!(
+                    "need at least one micro-batch, each with a positive occupancy, got {occ:?}"
+                ));
+            }
+        }
         if let Some(ctx) = contexts {
             let matching = occupancy.is_some_and(|occ| occ.len() == ctx.len());
             if !matching {
-                return Err(EngineError::Simulation {
-                    message: format!(
-                        "per-micro-batch contexts ({} entries) require occupancies of the same \
-                         length, got {:?}",
-                        ctx.len(),
-                        occupancy.map(<[u64]>::len),
-                    ),
-                });
+                return invalid(format!(
+                    "per-micro-batch contexts ({} entries) require occupancies of the same \
+                     length, got {:?}",
+                    ctx.len(),
+                    occupancy.map(<[u64]>::len),
+                ));
+            }
+            if ctx.contains(&0) {
+                return invalid(format!(
+                    "micro-batch contexts must be positive, got {ctx:?}"
+                ));
             }
         }
         let layers = self.model.num_layers.min(self.simulated_layers);
@@ -287,16 +315,8 @@ impl SystemEvaluator {
         if let Some(ctx) = contexts {
             builder = builder.with_micro_batch_contexts(ctx);
         }
-        let graph = builder
-            .build(schedule)
-            .map_err(|e| EngineError::Simulation {
-                message: e.to_string(),
-            })?;
-        let result = simulate(&graph).map_err(|e| EngineError::Simulation {
-            message: e.to_string(),
-        })?;
         let scale = f64::from(self.model.num_layers) / f64::from(layers);
-        Ok(result.makespan.scale(scale))
+        Ok(builder.step_makespan(schedule).scale(scale))
     }
 
     /// Evaluates a system on a workload with an explicit policy (used by the Tab. 5
@@ -304,7 +324,7 @@ impl SystemEvaluator {
     ///
     /// # Errors
     ///
-    /// Propagates simulation errors.
+    /// Propagates decode-step costing errors (a zero batch size).
     pub fn evaluate_with_policy(
         &self,
         system: SystemKind,
@@ -334,11 +354,11 @@ impl SystemEvaluator {
     }
 
     /// Evaluates a system end to end: policy generation, prefill estimate and the
-    /// simulated decode pipeline.
+    /// decode pipeline.
     ///
     /// # Errors
     ///
-    /// Returns an error if no policy fits or the simulation fails.
+    /// Returns an error if no policy fits or the decode step cannot be costed.
     pub fn evaluate(
         &self,
         system: SystemKind,
@@ -473,6 +493,84 @@ mod tests {
             assert!(matches!(err, EngineError::Simulation { .. }));
             assert!(err.to_string().contains("same length"));
         }
+    }
+
+    /// The MoE-Lightning policy and workload shape of S1 MTBench at gen 64.
+    fn step_inputs(eval: &SystemEvaluator) -> (Policy, WorkloadShape) {
+        let workload = eval.workload_shape(SystemKind::MoeLightning, &WorkloadSpec::mtbench(), 64);
+        let policy = eval
+            .policy_for(SystemKind::MoeLightning, &workload)
+            .unwrap();
+        (policy, workload)
+    }
+
+    /// Asserts that every schedule rejects the inputs with a typed error
+    /// naming `needle`.
+    fn assert_rejected(
+        policy: &Policy,
+        workload: &WorkloadShape,
+        occupancy: Option<&[u64]>,
+        contexts: Option<&[u64]>,
+        needle: &str,
+    ) {
+        let eval = s1();
+        for schedule in ScheduleKind::all() {
+            let err = eval
+                .decode_step_latency_with_loads(schedule, policy, workload, occupancy, contexts)
+                .unwrap_err();
+            assert!(matches!(err, EngineError::Simulation { .. }), "{err:?}");
+            assert!(err.to_string().contains(needle), "{err}");
+        }
+    }
+
+    #[test]
+    fn empty_occupancy_is_a_typed_error() {
+        let (policy, workload) = step_inputs(&s1());
+        assert_rejected(
+            &policy,
+            &workload,
+            Some(&[]),
+            None,
+            "at least one micro-batch",
+        );
+    }
+
+    #[test]
+    fn zero_occupancy_entry_is_a_typed_error() {
+        let (policy, workload) = step_inputs(&s1());
+        let occupancy = [8u64, 0, 8];
+        assert_rejected(
+            &policy,
+            &workload,
+            Some(&occupancy),
+            None,
+            "positive occupancy",
+        );
+    }
+
+    #[test]
+    fn zero_context_entry_is_a_typed_error() {
+        let (policy, workload) = step_inputs(&s1());
+        let (occupancy, contexts) = ([8u64, 8], [100u64, 0]);
+        assert_rejected(
+            &policy,
+            &workload,
+            Some(&occupancy),
+            Some(&contexts),
+            "contexts must be positive",
+        );
+    }
+
+    #[test]
+    fn zero_batch_size_is_a_typed_error() {
+        let (policy, workload) = step_inputs(&s1());
+        let empty = Policy {
+            batch_size: 0,
+            ..policy
+        };
+        assert_rejected(&empty, &workload, None, None, "batch size must be positive");
+        let occupancy = [8u64, 8];
+        assert_rejected(&empty, &workload, Some(&occupancy), None, "batch size");
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! Decode-stage pipeline schedules as task graphs (Fig. 6 and Algorithm 1 of the
-//! paper).
+//! Decode-stage pipeline schedules (Fig. 6 and Algorithm 1 of the paper).
 //!
-//! Each builder turns a policy + workload into a [`TaskGraph`] over the four lanes
-//! of the discrete-event simulator, with task durations taken from the HRM cost
-//! model. The schedules differ only in *ordering and granularity* — which is exactly
+//! Each builder turns a policy + workload into tasks over the four lanes of the
+//! discrete-event simulator, with task durations taken from the HRM cost model.
+//! A schedule body emits its tasks once, in insertion order, into either a
+//! [`TaskGraph`] ([`DecodeScheduleBuilder::build`]) or a set of lane clocks
+//! that yields the makespan directly ([`DecodeScheduleBuilder::step_makespan`]). The schedules differ only in *ordering and granularity* — which is exactly
 //! the paper's point: CGOPipe's paged-weight interleaving and two-ahead pre-attention
 //! remove the bubbles the baseline orderings leave on the GPU and PCIe lanes.
 
@@ -12,6 +13,7 @@ use moe_memory::pages::split_into_pages;
 use moe_policy::{CostModel, Policy, WorkloadShape};
 use moe_sim::{Lane, SimError, TaskGraph, TaskId, TaskKind};
 use serde::{Deserialize, Serialize};
+use std::convert::Infallible;
 
 /// The pipeline schedules compared in Fig. 6.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -201,51 +203,97 @@ impl<'a> DecodeScheduleBuilder<'a> {
     /// Propagates task-graph construction errors (none are expected for valid
     /// policies; they would indicate a bug in the builder).
     pub fn build(&self, kind: ScheduleKind) -> Result<TaskGraph, SimError> {
+        let mut graph = TaskGraph::new();
+        self.emit(kind, &mut graph)?;
+        Ok(graph)
+    }
+
+    /// Makespan of one decode step under `kind`, evaluated in a single pass
+    /// over the schedule without building a graph.
+    ///
+    /// Every dependency of a schedule points to an earlier task and every lane
+    /// runs its tasks in insertion order, so the step is a max-plus recurrence:
+    /// `finish = max(lane free, deps finished) + duration`, computed once per
+    /// task with four lane clocks. The `max` and `+` are the same f64
+    /// operations [`moe_sim::simulate`] applies, so the result equals
+    /// `simulate(&self.build(kind)?)?.makespan` bit for bit; `simulate` stays
+    /// the timeline engine and the oracle this is tested against.
+    pub fn step_makespan(&self, kind: ScheduleKind) -> Seconds {
+        let mut clock = LaneClock::default();
+        let Ok(()) = self.emit(kind, &mut clock);
+        clock.makespan
+    }
+
+    /// Walks the schedule of `kind`, sending every task to `out` in lane-FIFO
+    /// insertion order.
+    fn emit<E: Emitter>(&self, kind: ScheduleKind, out: &mut E) -> Result<(), E::Error> {
         match kind {
             ScheduleKind::CgoPipe => {
-                self.build_cpu_attention_pipeline(true, WeightOrder::Interleaved)
+                self.cpu_attention_pipeline(out, true, WeightOrder::Interleaved)
             }
             ScheduleKind::FastDecodeOverlap => {
-                self.build_cpu_attention_pipeline(true, WeightOrder::WholeAtStart)
+                self.cpu_attention_pipeline(out, true, WeightOrder::WholeAtStart)
             }
             ScheduleKind::FlexGenCpuAttention => {
-                self.build_cpu_attention_pipeline(false, WeightOrder::WholeAtEnd)
+                self.cpu_attention_pipeline(out, false, WeightOrder::WholeAtEnd)
             }
-            ScheduleKind::FlexGenGpuAttention => self.build_gpu_attention_pipeline(),
-            ScheduleKind::LayerStreaming => self.build_layer_streaming(),
+            ScheduleKind::FlexGenGpuAttention => self.gpu_attention_pipeline(out),
+            ScheduleKind::LayerStreaming => self.layer_streaming(out),
         }
     }
 
     /// CPU-attention pipelines (CGOPipe, S2, S3). `two_ahead` enables CGOPipe's
     /// pre-attention stagger; `weight_order` selects how the next layer's weights are
     /// placed on the H2D lane.
-    fn build_cpu_attention_pipeline(
+    fn cpu_attention_pipeline<E: Emitter>(
         &self,
+        out: &mut E,
         two_ahead: bool,
         weight_order: WeightOrder,
-    ) -> Result<TaskGraph, SimError> {
-        let mut g = TaskGraph::new();
+    ) -> Result<(), E::Error> {
         let n_ub = self.num_micro_batches();
         let layers = u64::from(self.num_layers);
         let total = layers * n_ub;
         let streamed = self.cost.streamed_layer_bytes(&self.policy);
+        // Whole-layer weight transfer (prologue, S2, S3); absent when every weight
+        // is GPU-resident.
+        let whole = (!streamed.is_zero()).then(|| self.cost.weight_transfer(streamed));
+        // Task durations depend only on the micro-batch, not the layer.
+        let stages: Vec<CpuAttentionStage> = (0..n_ub)
+            .zip(split_into_pages(streamed, n_ub as usize))
+            .map(|(j, page)| {
+                let tokens = self.micro_batch_tokens(j);
+                CpuAttentionStage {
+                    pre: self.cost.pre_attention_gpu(tokens),
+                    qkv: self.cost.qkv_offload(tokens),
+                    attention: self.cost.attention_cpu(tokens, self.ctx_of(j)),
+                    hidden: self.cost.hidden_upload(tokens),
+                    post: if self.policy.ffn_on_gpu {
+                        self.cost.post_attention_gpu(tokens)
+                    } else {
+                        self.cost.post_attention_gpu_without_ffn(tokens)
+                    },
+                    page: (!page.is_zero()).then(|| self.cost.weight_transfer(page)),
+                }
+            })
+            .collect();
 
         // Per global pipeline step g = layer * n_ub + j.
         let layer_of = |g: u64| g / n_ub;
         let ub_of = |g: u64| g % n_ub;
-        let mut hidden: Vec<Option<TaskId>> = vec![None; total as usize];
-        let mut post: Vec<Option<TaskId>> = vec![None; total as usize];
+        let mut hidden: Vec<Option<E::Id>> = vec![None; total as usize];
+        let mut post: Vec<Option<E::Id>> = vec![None; total as usize];
         // Last weight-transfer task of each layer (compute of that layer depends on it).
-        let mut weights_done: Vec<Option<TaskId>> = vec![None; layers as usize];
+        let mut weights_done: Vec<Option<E::Id>> = vec![None; layers as usize];
 
         // Prologue: layer 0 weights arrive before the step starts (steady state keeps
         // the H2D lane one layer ahead); model them as an initial transfer.
-        if !streamed.is_zero() {
-            let t = g.add_task(
+        if let Some(w) = whole {
+            let t = out.task(
                 Lane::HostToDevice,
-                self.cost.weight_transfer(streamed),
+                w,
                 TaskKind::WeightTransfer,
-                "W(0)",
+                || "W(0)".into(),
                 &[],
             )?;
             weights_done[0] = Some(t);
@@ -256,34 +304,20 @@ impl<'a> DecodeScheduleBuilder<'a> {
         // A(0) A(1) C(0) A(2) C(1) A(3) ... which keeps the GPU busy while the CPU
         // attends the in-flight micro-batches. The simpler variants use no stagger.
         let stagger = if two_ahead && n_ub >= 2 { 2u64 } else { 0 };
-        // Weight page sizes for interleaved mode.
-        let pages = split_into_pages(streamed, n_ub as usize);
 
-        // Closure creating the GPU post-attention task of global step `gidx`.
-        let create_post = |g: &mut TaskGraph,
-                           gidx: u64,
-                           hidden: &[Option<TaskId>],
-                           weights_done: &[Option<TaskId>]|
-         -> Result<TaskId, SimError> {
+        // Closure emitting the GPU post-attention task of global step `gidx`.
+        let emit_post = |out: &mut E,
+                         gidx: u64,
+                         hidden: &[Option<E::Id>],
+                         weights_done: &[Option<E::Id>]|
+         -> Result<E::Id, E::Error> {
             let (i, j) = (layer_of(gidx), ub_of(gidx));
-            let tokens = self.micro_batch_tokens(j);
-            let mut deps: Vec<TaskId> = Vec::new();
-            if let Some(h) = hidden[gidx as usize] {
-                deps.push(h);
-            }
-            if let Some(w) = weights_done[i as usize] {
-                deps.push(w);
-            }
-            g.add_task(
+            out.task(
                 Lane::GpuCompute,
-                if self.policy.ffn_on_gpu {
-                    self.cost.post_attention_gpu(tokens)
-                } else {
-                    self.cost.post_attention_gpu_without_ffn(tokens)
-                },
+                stages[j as usize].post,
                 TaskKind::PostAttention,
-                format!("C({i},{j})"),
-                &deps,
+                || format!("C({i},{j})"),
+                &[hidden[gidx as usize], weights_done[i as usize]],
             )
         };
 
@@ -292,86 +326,79 @@ impl<'a> DecodeScheduleBuilder<'a> {
             // lane *before* pre-attention of step g.
             if stagger > 0 && gidx >= stagger && gidx - stagger < total {
                 let target = gidx - stagger;
-                let id = create_post(&mut g, target, &hidden, &weights_done)?;
+                let id = emit_post(out, target, &hidden, &weights_done)?;
                 post[target as usize] = Some(id);
             }
             if gidx >= total {
                 continue;
             }
             let (i, j) = (layer_of(gidx), ub_of(gidx));
-            let tokens = self.micro_batch_tokens(j);
+            let stage = &stages[j as usize];
 
             // S2-style: whole next-layer weights at the *start* of layer i's H2D traffic.
-            if weight_order == WeightOrder::WholeAtStart
-                && j == 0
-                && i + 1 < layers
-                && !streamed.is_zero()
-            {
-                let t = g.add_task(
-                    Lane::HostToDevice,
-                    self.cost.weight_transfer(streamed),
-                    TaskKind::WeightTransfer,
-                    format!("W({})", i + 1),
-                    &[],
-                )?;
-                weights_done[(i + 1) as usize] = Some(t);
+            if weight_order == WeightOrder::WholeAtStart && j == 0 && i + 1 < layers {
+                if let Some(w) = whole {
+                    let t = out.task(
+                        Lane::HostToDevice,
+                        w,
+                        TaskKind::WeightTransfer,
+                        || format!("W({})", i + 1),
+                        &[],
+                    )?;
+                    weights_done[(i + 1) as usize] = Some(t);
+                }
             }
 
             // GPU pre-attention.
-            let mut pre_deps: Vec<TaskId> = Vec::new();
-            if i > 0 {
-                if let Some(p) = post[(gidx - n_ub) as usize] {
-                    pre_deps.push(p);
-                }
-            }
-            if let Some(w) = weights_done[i as usize] {
-                pre_deps.push(w);
-            }
-            let pre_id = g.add_task(
+            let prev_post = if i > 0 {
+                post[(gidx - n_ub) as usize]
+            } else {
+                None
+            };
+            let pre_id = out.task(
                 Lane::GpuCompute,
-                self.cost.pre_attention_gpu(tokens),
+                stage.pre,
                 TaskKind::PreAttention,
-                format!("A({i},{j})"),
-                &pre_deps,
+                || format!("A({i},{j})"),
+                &[prev_post, weights_done[i as usize]],
             )?;
 
             // QKV offload to the CPU.
-            let qkv_id = g.add_task(
+            let qkv_id = out.task(
                 Lane::DeviceToHost,
-                self.cost.qkv_offload(tokens),
+                stage.qkv,
                 TaskKind::QkvOffload,
-                format!("QKV({i},{j})"),
-                &[pre_id],
+                || format!("QKV({i},{j})"),
+                &[Some(pre_id)],
             )?;
 
             // CPU attention, costed at this micro-batch's mean decode context.
-            let attn_id = g.add_task(
+            let attn_id = out.task(
                 Lane::CpuCompute,
-                self.cost.attention_cpu(tokens, self.ctx_of(j)),
+                stage.attention,
                 TaskKind::Attention,
-                format!("B({i},{j})"),
-                &[qkv_id],
+                || format!("B({i},{j})"),
+                &[Some(qkv_id)],
             )?;
 
             // Hidden states back to the GPU.
-            let hidden_id = g.add_task(
+            let hidden_id = out.task(
                 Lane::HostToDevice,
-                self.cost.hidden_upload(tokens),
+                stage.hidden,
                 TaskKind::HiddenTransfer,
-                format!("H({i},{j})"),
-                &[attn_id],
+                || format!("H({i},{j})"),
+                &[Some(attn_id)],
             )?;
             hidden[gidx as usize] = Some(hidden_id);
 
             // Interleaved weight page for the next layer (CGOPipe).
             if weight_order == WeightOrder::Interleaved && i + 1 < layers {
-                let page_bytes = pages[j as usize];
-                if !page_bytes.is_zero() {
-                    let t = g.add_task(
+                if let Some(p) = stage.page {
+                    let t = out.task(
                         Lane::HostToDevice,
-                        self.cost.weight_transfer(page_bytes),
+                        p,
                         TaskKind::WeightTransfer,
-                        format!("Wp({},{j})", i + 1),
+                        || format!("Wp({},{j})", i + 1),
                         &[],
                     )?;
                     weights_done[(i + 1) as usize] = Some(t);
@@ -379,177 +406,248 @@ impl<'a> DecodeScheduleBuilder<'a> {
             }
 
             // S3-style: whole next-layer weights *after* this layer's hidden uploads.
-            if weight_order == WeightOrder::WholeAtEnd
-                && j + 1 == n_ub
-                && i + 1 < layers
-                && !streamed.is_zero()
-            {
-                let t = g.add_task(
-                    Lane::HostToDevice,
-                    self.cost.weight_transfer(streamed),
-                    TaskKind::WeightTransfer,
-                    format!("W({})", i + 1),
-                    &[],
-                )?;
-                weights_done[(i + 1) as usize] = Some(t);
+            if weight_order == WeightOrder::WholeAtEnd && j + 1 == n_ub && i + 1 < layers {
+                if let Some(w) = whole {
+                    let t = out.task(
+                        Lane::HostToDevice,
+                        w,
+                        TaskKind::WeightTransfer,
+                        || format!("W({})", i + 1),
+                        &[],
+                    )?;
+                    weights_done[(i + 1) as usize] = Some(t);
+                }
             }
 
             // Without the stagger the post-attention task follows immediately.
             if stagger == 0 {
-                let id = create_post(&mut g, gidx, &hidden, &weights_done)?;
+                let id = emit_post(out, gidx, &hidden, &weights_done)?;
                 post[gidx as usize] = Some(id);
             }
         }
-        Ok(g)
+        Ok(())
     }
 
     /// S4: GPU attention with per-micro-batch KV prefetch over PCIe.
-    fn build_gpu_attention_pipeline(&self) -> Result<TaskGraph, SimError> {
-        let mut g = TaskGraph::new();
+    fn gpu_attention_pipeline<E: Emitter>(&self, out: &mut E) -> Result<(), E::Error> {
         let n_ub = self.num_micro_batches();
         let layers = u64::from(self.num_layers);
         let streamed = self.cost.streamed_layer_bytes(&self.policy);
+        let whole = (!streamed.is_zero()).then(|| self.cost.weight_transfer(streamed));
         let kv_cpu_fraction = 1.0 - self.policy.kv_gpu_ratio;
+        // Task durations depend only on the micro-batch, not the layer.
+        let stages: Vec<GpuAttentionStage> = (0..n_ub)
+            .map(|j| {
+                let tokens = self.micro_batch_tokens(j);
+                let ctx = self.ctx_of(j);
+                let kv = self.cost.kv_transfer(tokens, ctx, kv_cpu_fraction);
+                GpuAttentionStage {
+                    kv: (!kv.is_zero() && kv_cpu_fraction > 0.0).then_some(kv),
+                    compute: self.cost.pre_attention_gpu(tokens)
+                        + self.cost.attention_gpu(tokens, ctx)
+                        + self.cost.post_attention_gpu(tokens),
+                    // New KV entries written back to the CPU-resident cache.
+                    append: (kv_cpu_fraction > 0.0).then(|| {
+                        let bytes = self
+                            .cost
+                            .model()
+                            .kv_bytes_per_token_per_layer()
+                            .scale(kv_cpu_fraction)
+                            * tokens;
+                        bytes / self.cost.node().total_d2h_bandwidth()
+                    }),
+                }
+            })
+            .collect();
 
-        let mut weights_done: Vec<Option<TaskId>> = vec![None; layers as usize];
-        if !streamed.is_zero() {
-            weights_done[0] = Some(g.add_task(
+        let mut weights_done: Vec<Option<E::Id>> = vec![None; layers as usize];
+        if let Some(w) = whole {
+            weights_done[0] = Some(out.task(
                 Lane::HostToDevice,
-                self.cost.weight_transfer(streamed),
+                w,
                 TaskKind::WeightTransfer,
-                "W(0)",
+                || "W(0)".into(),
                 &[],
             )?);
         }
 
-        let mut prev_post: Vec<Option<TaskId>> = vec![None; n_ub as usize];
+        let mut prev_post: Vec<Option<E::Id>> = vec![None; n_ub as usize];
+        let mut kv_ready: Vec<Option<E::Id>> = vec![None; n_ub as usize];
         for i in 0..layers {
-            let mut kv_ready: Vec<Option<TaskId>> = vec![None; n_ub as usize];
             // KV prefetch for every micro-batch of this layer, then the (un-paged)
             // weights of the next layer — the S4 H2D ordering of Fig. 6.
-            for j in 0..n_ub {
-                let tokens = self.micro_batch_tokens(j);
-                let duration = self
-                    .cost
-                    .kv_transfer(tokens, self.ctx_of(j), kv_cpu_fraction);
-                if !duration.is_zero() && kv_cpu_fraction > 0.0 {
-                    kv_ready[j as usize] = Some(g.add_task(
+            for (j, stage) in stages.iter().enumerate() {
+                kv_ready[j] = match stage.kv {
+                    Some(kv) => Some(out.task(
                         Lane::HostToDevice,
-                        duration,
+                        kv,
                         TaskKind::KvTransfer,
-                        format!("KV({i},{j})"),
+                        || format!("KV({i},{j})"),
+                        &[],
+                    )?),
+                    None => None,
+                };
+            }
+            if i + 1 < layers {
+                if let Some(w) = whole {
+                    weights_done[(i + 1) as usize] = Some(out.task(
+                        Lane::HostToDevice,
+                        w,
+                        TaskKind::WeightTransfer,
+                        || format!("W({})", i + 1),
                         &[],
                     )?);
                 }
             }
-            if i + 1 < layers && !streamed.is_zero() {
-                weights_done[(i + 1) as usize] = Some(g.add_task(
-                    Lane::HostToDevice,
-                    self.cost.weight_transfer(streamed),
-                    TaskKind::WeightTransfer,
-                    format!("W({})", i + 1),
-                    &[],
-                )?);
-            }
 
-            for j in 0..n_ub {
-                let tokens = self.micro_batch_tokens(j);
-                let mut deps: Vec<TaskId> = Vec::new();
-                if let Some(w) = weights_done[i as usize] {
-                    deps.push(w);
-                }
-                if let Some(kv) = kv_ready[j as usize] {
-                    deps.push(kv);
-                }
-                if let Some(p) = prev_post[j as usize] {
-                    deps.push(p);
-                }
-                let duration = self.cost.pre_attention_gpu(tokens)
-                    + self.cost.attention_gpu(tokens, self.ctx_of(j))
-                    + self.cost.post_attention_gpu(tokens);
-                let compute = g.add_task(
+            for (j, stage) in stages.iter().enumerate() {
+                let compute = out.task(
                     Lane::GpuCompute,
-                    duration,
+                    stage.compute,
                     TaskKind::PostAttention,
-                    format!("L({i},{j})"),
-                    &deps,
+                    || format!("L({i},{j})"),
+                    &[weights_done[i as usize], kv_ready[j], prev_post[j]],
                 )?;
-                // New KV entries written back to the CPU-resident cache.
-                if kv_cpu_fraction > 0.0 {
-                    let append = self
-                        .cost
-                        .model()
-                        .kv_bytes_per_token_per_layer()
-                        .scale(kv_cpu_fraction)
-                        * tokens;
-                    g.add_task(
+                if let Some(append) = stage.append {
+                    out.task(
                         Lane::DeviceToHost,
-                        append / self.cost.node().total_d2h_bandwidth(),
+                        append,
                         TaskKind::QkvOffload,
-                        format!("KVout({i},{j})"),
-                        &[compute],
+                        || format!("KVout({i},{j})"),
+                        &[Some(compute)],
                     )?;
                 }
-                prev_post[j as usize] = Some(compute);
+                prev_post[j] = Some(compute);
             }
         }
-        Ok(g)
+        Ok(())
     }
 
     /// DeepSpeed-style layer streaming: a single batch, GPU attention, KV resident on
     /// the GPU, whole-layer weight streaming overlapped with compute.
-    fn build_layer_streaming(&self) -> Result<TaskGraph, SimError> {
-        let mut g = TaskGraph::new();
+    fn layer_streaming<E: Emitter>(&self, out: &mut E) -> Result<(), E::Error> {
         let layers = u64::from(self.num_layers);
         let tokens = self.total_tokens();
         let ctx = self.ctx();
         let streamed = self.cost.streamed_layer_bytes(&self.policy);
+        let whole = (!streamed.is_zero()).then(|| self.cost.weight_transfer(streamed));
+        let compute = self.cost.pre_attention_gpu(tokens)
+            + self.cost.attention_gpu(tokens, ctx)
+            + self.cost.post_attention_gpu(tokens);
 
-        let mut prev_compute: Option<TaskId> = None;
-        let mut prev_weights: Option<TaskId> = None;
+        let mut prev_compute: Option<E::Id> = None;
+        let mut prev_weights: Option<E::Id> = None;
         for i in 0..layers {
-            let weights = if streamed.is_zero() {
-                None
-            } else {
-                Some(g.add_task(
+            let weights = match whole {
+                Some(w) => Some(out.task(
                     Lane::HostToDevice,
-                    self.cost.weight_transfer(streamed),
+                    w,
                     TaskKind::WeightTransfer,
-                    format!("W({i})"),
+                    || format!("W({i})"),
                     &[],
-                )?)
+                )?),
+                None => None,
             };
-            let mut deps: Vec<TaskId> = Vec::new();
-            if let Some(w) = weights.or(prev_weights) {
-                deps.push(w);
-            }
-            if let Some(c) = prev_compute {
-                deps.push(c);
-            }
-            let duration = self.cost.pre_attention_gpu(tokens)
-                + self.cost.attention_gpu(tokens, ctx)
-                + self.cost.post_attention_gpu(tokens);
-            prev_compute = Some(g.add_task(
+            prev_compute = Some(out.task(
                 Lane::GpuCompute,
-                duration,
+                compute,
                 TaskKind::PostAttention,
-                format!("L({i})"),
-                &deps,
+                || format!("L({i})"),
+                &[weights.or(prev_weights), prev_compute],
             )?);
             prev_weights = weights;
         }
-        Ok(g)
+        Ok(())
     }
+}
 
-    /// Convenience: simulates one decode step under `kind` and returns the makespan.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation errors.
-    pub fn decode_step_makespan(&self, kind: ScheduleKind) -> Result<Seconds, SimError> {
-        let graph = self.build(kind)?;
-        Ok(moe_sim::simulate(&graph)?.makespan)
+/// Where a schedule body sends its tasks, in insertion order. Every
+/// dependency refers to a task emitted earlier; `None` entries are skipped.
+trait Emitter {
+    /// Handle of an emitted task, used as a dependency of later tasks.
+    type Id: Copy;
+    /// Error an emission can fail with.
+    type Error;
+
+    /// Emits one task on `lane`. `label` is only called by emitters that keep
+    /// labels.
+    fn task(
+        &mut self,
+        lane: Lane,
+        duration: Seconds,
+        kind: TaskKind,
+        label: impl FnOnce() -> String,
+        deps: &[Option<Self::Id>],
+    ) -> Result<Self::Id, Self::Error>;
+}
+
+/// Emits into a [`TaskGraph`] (Fig. 6 timelines, task counts, the oracle).
+impl Emitter for TaskGraph {
+    type Id = TaskId;
+    type Error = SimError;
+
+    fn task(
+        &mut self,
+        lane: Lane,
+        duration: Seconds,
+        kind: TaskKind,
+        label: impl FnOnce() -> String,
+        deps: &[Option<TaskId>],
+    ) -> Result<TaskId, SimError> {
+        let deps: Vec<TaskId> = deps.iter().flatten().copied().collect();
+        self.add_task(lane, duration, kind, label(), &deps)
     }
+}
+
+/// Evaluates the schedule as it is emitted: a task's handle is its finish
+/// time, and each lane keeps the finish time of its last task.
+#[derive(Debug, Default)]
+struct LaneClock {
+    /// Finish time of the last task on each lane, indexed by `Lane as usize`.
+    free: [Seconds; 4],
+    makespan: Seconds,
+}
+
+impl Emitter for LaneClock {
+    type Id = Seconds;
+    type Error = Infallible;
+
+    fn task(
+        &mut self,
+        lane: Lane,
+        duration: Seconds,
+        _kind: TaskKind,
+        _label: impl FnOnce() -> String,
+        deps: &[Option<Seconds>],
+    ) -> Result<Seconds, Infallible> {
+        let ready = deps.iter().flatten().fold(Seconds::ZERO, |t, &d| t.max(d));
+        let free = &mut self.free[lane as usize];
+        let finish = free.max(ready) + duration;
+        *free = finish;
+        self.makespan = self.makespan.max(finish);
+        Ok(finish)
+    }
+}
+
+/// Durations of one micro-batch's tasks in a CPU-attention pipeline.
+struct CpuAttentionStage {
+    pre: Seconds,
+    qkv: Seconds,
+    attention: Seconds,
+    hidden: Seconds,
+    post: Seconds,
+    /// This micro-batch's page of the next layer's weights (CGOPipe), absent
+    /// when the page is empty.
+    page: Option<Seconds>,
+}
+
+/// Durations of one micro-batch's tasks in the GPU-attention pipeline.
+struct GpuAttentionStage {
+    /// KV prefetch, absent when no KV lives on the CPU.
+    kv: Option<Seconds>,
+    compute: Seconds,
+    /// KV write-back, absent when no KV lives on the CPU.
+    append: Option<Seconds>,
 }
 
 /// Placement of the next layer's weight transfer on the H2D lane.
@@ -601,13 +699,13 @@ mod tests {
         // shortest decode step.
         let cost = cost();
         let b = builder(&cost);
-        let cgo = b.decode_step_makespan(ScheduleKind::CgoPipe).unwrap();
+        let cgo = b.step_makespan(ScheduleKind::CgoPipe);
         for kind in [
             ScheduleKind::FastDecodeOverlap,
             ScheduleKind::FlexGenCpuAttention,
             ScheduleKind::FlexGenGpuAttention,
         ] {
-            let other = b.decode_step_makespan(kind).unwrap();
+            let other = b.step_makespan(kind);
             assert!(
                 cgo.as_secs() <= other.as_secs() * 1.001,
                 "CGOPipe ({cgo}) should not lose to {} ({other})",
@@ -719,8 +817,8 @@ mod tests {
             skewed_tokens.as_slice()
         );
         for kind in [ScheduleKind::CgoPipe, ScheduleKind::FlexGenGpuAttention] {
-            let t_uniform = uniform.decode_step_makespan(kind).unwrap();
-            let t_skewed = skewed.decode_step_makespan(kind).unwrap();
+            let t_uniform = uniform.step_makespan(kind);
+            let t_skewed = skewed.step_makespan(kind);
             let rel = (t_skewed.as_secs() - t_uniform.as_secs()).abs() / t_uniform.as_secs();
             assert!(
                 rel > 1e-3,
@@ -769,8 +867,8 @@ mod tests {
             .with_micro_batch_tokens(&occupancy)
             .with_micro_batch_contexts(&[420, 48, 48, 48]);
         for kind in [ScheduleKind::CgoPipe, ScheduleKind::FlexGenCpuAttention] {
-            let t_balanced = balanced.decode_step_makespan(kind).unwrap();
-            let t_skewed = skewed.decode_step_makespan(kind).unwrap();
+            let t_balanced = balanced.step_makespan(kind);
+            let t_skewed = skewed.step_makespan(kind);
             assert!(
                 t_skewed > t_balanced,
                 "{}: the KV-heavy micro-batch must straggle: {t_skewed} vs {t_balanced}",

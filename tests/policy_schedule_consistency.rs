@@ -25,8 +25,7 @@ fn simulated_cgopipe_step_is_close_to_the_analytic_estimate() {
         * f64::from(layers);
     let simulated = DecodeScheduleBuilder::new(&cost, policy, workload)
         .with_layers(layers)
-        .decode_step_makespan(ScheduleKind::CgoPipe)
-        .unwrap()
+        .step_makespan(ScheduleKind::CgoPipe)
         .as_secs();
     let ratio = simulated / analytic;
     assert!(

@@ -8,14 +8,15 @@
 //! KV-saturated pipeline with a single freed slot. A fleet-scale case benches the whole
 //! cluster loop (indexed vs linear scan) at a 256-replica fleet, and a
 //! single-node case benches the engine-backed `ServingSession::serve` in
-//! both serving modes.
+//! both serving modes. A prefix-cache case benches one `PrefixCache::insert`
+//! into a full 64K-token cache, where every insert evicts.
 //!
 //! Run with `cargo bench -p moe-bench --bench scheduler_hot_path`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use moe_lightning::{
-    ClusterEvaluator, ClusterSpec, EvalSetting, LeastOutstandingTokens, NodeSpec, ServingMode,
-    ServingSession, SystemEvaluator, SystemKind,
+    ClusterEvaluator, ClusterSpec, EvalSetting, LeastOutstandingTokens, NodeSpec, PrefixCache,
+    ServingMode, ServingSession, SystemEvaluator, SystemKind,
 };
 use moe_workload::{
     Algorithm2, ArrivalProcess, BatchingConfig, PartitionState, QueueOrder, Request, Scheduler,
@@ -170,12 +171,39 @@ fn bench_single_node(c: &mut Criterion) {
     }
 }
 
+/// Prefix-cache eviction at capacity: a 64K-token cache (the `day-disagg`
+/// size) warmed past capacity with MTBench-length prompts from 4096
+/// four-turn sessions, then one `insert` of a fresh session's prompt per
+/// iteration — the steady state, where each insert evicts as many
+/// least-recently-used blocks as it adds.
+fn bench_prefix_cache(c: &mut Criterion) {
+    const CAPACITY: u64 = 64 * 1024;
+    let prompts: Vec<u64> = queue(16_384).iter().map(|r| r.input_len).collect();
+    let mut cache = PrefixCache::new(CAPACITY);
+    for (i, &len) in prompts.iter().enumerate() {
+        cache.insert(i as u64 / 4, len);
+    }
+    assert_eq!(
+        cache.stats().resident_tokens,
+        CAPACITY,
+        "the warm-up must fill the cache"
+    );
+    let mut session = prompts.len() as u64;
+    c.bench_function("disagg/prefix_cache/insert_at_capacity", |b| {
+        b.iter(|| {
+            session += 1;
+            cache.insert(session, prompts[session as usize % prompts.len()])
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_plan,
     bench_backfill,
     bench_backfill_deep,
     bench_fleet_loop,
-    bench_single_node
+    bench_single_node,
+    bench_prefix_cache
 );
 criterion_main!(benches);

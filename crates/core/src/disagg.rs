@@ -34,7 +34,7 @@ use crate::router::{ReplicaId, ReplicaView, Router, RouterCtx, RouterIndex};
 use moe_hardware::{Bandwidth, Seconds};
 use moe_workload::{Request, RequestLatency};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -178,7 +178,6 @@ struct CacheNode {
     parent: usize,
     key: u64,
     last_used: u64,
-    in_use: bool,
 }
 
 /// Index of the trie root (a sentinel holding no tokens).
@@ -192,11 +191,21 @@ const CACHE_ROOT: usize = 0;
 /// `(session, block index)`: the cache models multi-turn shared history
 /// within a session — exactly the reuse [`StickySession`] and
 /// [`PrefixAware`] routing make reachable — not cross-session sharing.
+///
+/// Eviction takes the least-recently-used leaf, ties to the lowest arena
+/// slot: the smallest `(last_used, slot)` among non-root blocks without
+/// children. The cache keeps those leaves in an ordered set under exactly
+/// that key, so each touch of a leaf and each eviction costs O(log n) in the
+/// number of resident blocks; no operation scans the arena. A full arena
+/// scan exists only as the unit tests' differential oracle.
 #[derive(Debug, Clone)]
 pub struct PrefixCache {
     capacity_tokens: u64,
     nodes: Vec<CacheNode>,
     free: Vec<usize>,
+    /// Evictable leaves (non-root, childless, resident) keyed
+    /// `(last_used, slot)`; the first entry is the next victim.
+    leaves: BTreeSet<(u64, usize)>,
     resident_tokens: u64,
     tick: u64,
     hits: u64,
@@ -222,9 +231,9 @@ impl PrefixCache {
                 parent: CACHE_ROOT,
                 key: 0,
                 last_used: 0,
-                in_use: true,
             }],
             free: Vec::new(),
+            leaves: BTreeSet::new(),
             resident_tokens: 0,
             tick: 0,
             hits: 0,
@@ -248,7 +257,7 @@ impl PrefixCache {
             match self.nodes[node].children.get(&block_key(session, i)) {
                 Some(&child) => {
                     node = child;
-                    self.nodes[node].last_used = self.tick;
+                    self.touch(node);
                     matched += 1;
                 }
                 None => break,
@@ -267,6 +276,13 @@ impl PrefixCache {
     /// Inserts the whole-block prefix of a `input_len`-token prompt from
     /// `session`, evicting least-recently-used leaves while over capacity.
     pub fn insert(&mut self, session: u64, input_len: u64) {
+        self.grow(session, input_len);
+        self.evict_over_capacity();
+    }
+
+    /// The trie half of [`Self::insert`]: adds and touches the prompt's
+    /// blocks without evicting.
+    fn grow(&mut self, session: u64, input_len: u64) {
         let blocks = input_len / PREFIX_BLOCK_TOKENS;
         if blocks == 0 || self.capacity_tokens == 0 {
             return;
@@ -277,15 +293,29 @@ impl PrefixCache {
             let key = block_key(session, i);
             if let Some(&child) = self.nodes[node].children.get(&key) {
                 node = child;
-                self.nodes[node].last_used = self.tick;
+                self.touch(node);
             } else {
                 let child = self.alloc(node, key);
-                self.nodes[node].children.insert(key, child);
+                let parent = &mut self.nodes[node];
+                if parent.children.is_empty() {
+                    // Gaining a first child makes the parent a non-leaf.
+                    self.leaves.remove(&(parent.last_used, node));
+                }
+                parent.children.insert(key, child);
+                self.leaves.insert((self.tick, child));
                 node = child;
                 self.resident_tokens += PREFIX_BLOCK_TOKENS;
             }
         }
-        self.evict_over_capacity();
+    }
+
+    /// Marks `node` used at the current tick, re-keying it if it is a leaf.
+    fn touch(&mut self, node: usize) {
+        let n = &mut self.nodes[node];
+        if n.children.is_empty() && self.leaves.remove(&(n.last_used, node)) {
+            self.leaves.insert((self.tick, node));
+        }
+        n.last_used = self.tick;
     }
 
     fn alloc(&mut self, parent: usize, key: u64) -> usize {
@@ -294,7 +324,6 @@ impl PrefixCache {
             parent,
             key,
             last_used: self.tick,
-            in_use: true,
         };
         match self.free.pop() {
             Some(slot) => {
@@ -312,21 +341,38 @@ impl PrefixCache {
     /// leaves are evictable) until resident tokens fit the capacity.
     fn evict_over_capacity(&mut self) {
         while self.resident_tokens > self.capacity_tokens {
-            let victim = self
-                .nodes
-                .iter()
-                .enumerate()
-                .filter(|(i, n)| *i != CACHE_ROOT && n.in_use && n.children.is_empty())
-                .min_by_key(|(i, n)| (n.last_used, *i))
-                .map(|(i, _)| i);
-            let Some(victim) = victim else { break };
-            let parent = self.nodes[victim].parent;
-            let key = self.nodes[victim].key;
-            self.nodes[parent].children.remove(&key);
-            self.nodes[victim].in_use = false;
-            self.free.push(victim);
-            self.resident_tokens -= PREFIX_BLOCK_TOKENS;
+            let Some((_, victim)) = self.leaves.pop_first() else {
+                break;
+            };
+            #[cfg(test)]
+            assert_eq!(Some(victim), self.scan_victim(), "leaf set != full scan");
+            self.unlink(victim);
         }
+    }
+
+    /// Frees leaf `victim` (already out of the leaf set); its parent becomes
+    /// evictable if that left it childless.
+    fn unlink(&mut self, victim: usize) {
+        let CacheNode { parent, key, .. } = self.nodes[victim];
+        let siblings = &mut self.nodes[parent].children;
+        siblings.remove(&key);
+        if parent != CACHE_ROOT && siblings.is_empty() {
+            self.leaves.insert((self.nodes[parent].last_used, parent));
+        }
+        self.free.push(victim);
+        self.resident_tokens -= PREFIX_BLOCK_TOKENS;
+    }
+
+    /// The eviction victim by a full arena scan: the test-only oracle for
+    /// the leaf set.
+    #[cfg(test)]
+    fn scan_victim(&self) -> Option<usize> {
+        self.nodes
+            .iter()
+            .enumerate()
+            .filter(|(i, n)| *i != CACHE_ROOT && !self.free.contains(i) && n.children.is_empty())
+            .min_by_key(|(i, n)| (n.last_used, *i))
+            .map(|(i, _)| i)
     }
 
     /// Router-visible statistics snapshot.
@@ -844,6 +890,7 @@ pub(crate) fn scrub_handoff_reports(reports: &mut [ReplicaReport], disagg: &Disa
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn view(id: usize, outstanding: u64) -> ReplicaView {
         ReplicaView {
@@ -907,6 +954,74 @@ mod tests {
         cache.insert(1, 4096);
         assert_eq!(cache.stats().resident_tokens, 0);
         assert_eq!(cache.lookup(1, 4096), 0);
+    }
+
+    /// The evictable leaves by a full arena scan, keyed like the leaf set.
+    fn scanned_leaves(cache: &PrefixCache) -> BTreeSet<(u64, usize)> {
+        cache
+            .nodes
+            .iter()
+            .enumerate()
+            .filter(|(i, n)| *i != CACHE_ROOT && !cache.free.contains(i) && n.children.is_empty())
+            .map(|(i, n)| (n.last_used, i))
+            .collect()
+    }
+
+    /// Reference insert: the same trie growth, then eviction of the full
+    /// scan's victim while over capacity.
+    fn insert_by_scan(cache: &mut PrefixCache, session: u64, input_len: u64) {
+        cache.grow(session, input_len);
+        while cache.resident_tokens > cache.capacity_tokens {
+            let Some(victim) = cache.scan_victim() else {
+                break;
+            };
+            cache
+                .leaves
+                .remove(&(cache.nodes[victim].last_used, victim));
+            cache.unlink(victim);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// Differential oracle for the ordered leaf set. Over random
+        /// interleavings of lookups and inserts: every popped victim equals
+        /// the full scan's (asserted inside `evict_over_capacity` in test
+        /// builds), the set equals the scanned leaves after every op, and
+        /// lookups and stats match a cache that evicts by scan, step by step.
+        #[test]
+        fn prefix_cache_leaf_set_matches_the_full_scan_oracle(
+            sessions in 1u64..13,
+            capacity in 0usize..7,
+            ops in collection::vec(
+                (any::<bool>(), 0u64..12, 0u64..601),
+                1..400,
+            ),
+        ) {
+            let capacity = [0, 16, 32, 64, 100, 1024, 4096][capacity];
+            let mut cache = PrefixCache::new(capacity);
+            let mut oracle = PrefixCache::new(capacity);
+            for (step, (is_lookup, session, input_len)) in ops.into_iter().enumerate() {
+                let session = session % sessions;
+                if is_lookup {
+                    prop_assert_eq!(
+                        cache.lookup(session, input_len),
+                        oracle.lookup(session, input_len),
+                        "lookup at step {}", step
+                    );
+                } else {
+                    cache.insert(session, input_len);
+                    insert_by_scan(&mut oracle, session, input_len);
+                }
+                prop_assert_eq!(cache.stats(), oracle.stats(), "stats at step {}", step);
+                prop_assert_eq!(
+                    &cache.leaves,
+                    &scanned_leaves(&cache),
+                    "leaf set at step {}", step
+                );
+            }
+        }
     }
 
     #[test]

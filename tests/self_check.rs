@@ -13,15 +13,17 @@
 //!   (`ClusterEvaluator::with_scan_loop`) across routers, serving modes,
 //!   churn and thread counts — the two dispatch paths must stay report-
 //!   identical;
-//! * the pinned churn scenario against committed per-router digests in
-//!   `tests/fixtures/self_check_digests.txt`. Regenerate after an
+//! * the pinned churn scenario against committed per-router digests, and a
+//!   disaggregated fleet whose tiny prefix caches evict on almost every
+//!   admission against committed digests that include the cache statistics,
+//!   both in `tests/fixtures/self_check_digests.txt`. Regenerate after an
 //!   *intentional* semantics change with
 //!   `SELF_CHECK_REGEN=1 cargo test --test self_check` and commit the diff.
 
 use moe_lightning::{
     builtin_routers, ClusterEvaluator, ClusterReport, ClusterSpec, EvalSetting, FleetTimeline,
-    NodeSpec, Policy, QueueDepthScaler, ReplicaId, ReplicaSpec, Router, ScaleBounds, Seconds,
-    ServeSpec, ServingMode, SystemEvaluator, SystemKind,
+    NodeSpec, Policy, PrefixAware, QueueDepthScaler, ReplicaId, ReplicaRole, ReplicaSpec, Router,
+    ScaleBounds, Seconds, ServeSpec, ServingMode, SystemEvaluator, SystemKind,
 };
 use moe_workload::{
     Algorithm2, ArrivalProcess, FcfsPadded, GenLens, Request, Scheduler, ShortestJobFirst,
@@ -496,9 +498,66 @@ fn assert_digest_matches(got: &str, want: &str) {
     }
 }
 
+/// The pinned prefix-cache scenario: 2 prefill + 2 decode T4 replicas under
+/// `PrefixAware` routing, each with a 2K-token (64-block) prefix cache,
+/// serving a 400-request queue of 8-turn sessions at 0.25 req/s, light
+/// enough that a session's next turn usually finds its history. Every cache
+/// fills within its first few dozen admissions, so almost every later insert
+/// evicts, and which blocks survive decides the pinned hit counts.
+fn tiny_cache_disagg_spec(mode: ServingMode) -> ClusterSpec {
+    let queue: Vec<Request> = WorkloadSpec::mtbench()
+        .synthesize_queue(
+            400,
+            GenLens::Uniform(32),
+            11,
+            false,
+            &ArrivalProcess::Poisson { rate_per_sec: 0.25 },
+        )
+        .into_iter()
+        .map(|r| {
+            let session = r.id / 8;
+            r.with_session(session)
+        })
+        .collect();
+    let mut spec = ClusterSpec::new(SystemKind::MoeLightning, WorkloadSpec::mtbench())
+        .with_count(queue.len())
+        .with_seed(11)
+        .with_mode(mode)
+        .with_router(Arc::new(PrefixAware::new()))
+        .with_prefix_cache(2 * 1024)
+        .with_queue(queue);
+    for i in 0..4 {
+        let role = if i < 2 {
+            ReplicaRole::Prefill
+        } else {
+            ReplicaRole::Decode
+        };
+        spec = spec.with_replica(
+            ReplicaSpec::new(NodeSpec::t4_single())
+                .with_policy(Policy::offload_default(64, 16))
+                .with_role(role),
+        );
+    }
+    spec
+}
+
+/// The fleet-wide prefix-cache statistics, appended to a [`digest`] line.
+fn cache_digest(report: &ClusterReport) -> String {
+    let stats: Vec<_> = report.replicas.iter().filter_map(|r| r.cache).collect();
+    format!(
+        "|cache_hits={}|cache_misses={}|cache_hit_tokens={}|cache_resident={}",
+        stats.iter().map(|s| s.hits).sum::<u64>(),
+        stats.iter().map(|s| s.misses).sum::<u64>(),
+        stats.iter().map(|s| s.hit_tokens).sum::<u64>(),
+        stats.iter().map(|s| s.resident_tokens).sum::<u64>(),
+    )
+}
+
 /// Tentpole self-check: for every built-in router in both serving modes, the
 /// indexed loop equals the scan loop bit-for-bit on the pinned churn
-/// scenario, and both match the committed digest fixture.
+/// scenario, and both match the committed digest fixture. The tiny-cache
+/// disaggregated scenario is held to the same two checks, with its prefix
+/// cache statistics in the digest.
 ///
 /// `SELF_CHECK_REGEN=1` rewrites `tests/fixtures/self_check_digests.txt`
 /// instead of asserting — commit the diff with the semantics change that
@@ -520,6 +579,16 @@ fn churn_scenario_matches_scan_loop_and_pinned_digests() {
             .collect()
     };
     let mut lines = Vec::new();
+    let mut pin = |label: &str, line: String| {
+        if !regen {
+            let want_line = pinned
+                .iter()
+                .find(|l| l.starts_with(&format!("{label}|")))
+                .unwrap_or_else(|| panic!("{label}: no pinned digest line"));
+            assert_digest_matches(&line, want_line);
+        }
+        lines.push(line);
+    };
     for mode in MODES {
         for router in builtin_routers() {
             let name = router.name();
@@ -527,16 +596,22 @@ fn churn_scenario_matches_scan_loop_and_pinned_digests() {
             let want = scan().run(&churn_spec(mode, router.clone())).unwrap();
             let got = indexed(2).run(&churn_spec(mode, router)).unwrap();
             assert_reports_identical(&want, &got, &label);
-            let line = digest(&label, &got);
-            if !regen {
-                let want_line = pinned
-                    .iter()
-                    .find(|l| l.starts_with(&format!("{label}|")))
-                    .unwrap_or_else(|| panic!("{label}: no pinned digest line"));
-                assert_digest_matches(&line, want_line);
-            }
-            lines.push(line);
+            pin(&label, digest(&label, &got));
         }
+    }
+    for mode in MODES {
+        let label = format!("prefix-aware tiny-cache disagg [{}]", mode.label());
+        let want = scan().run(&tiny_cache_disagg_spec(mode)).unwrap();
+        let got = indexed(2).run(&tiny_cache_disagg_spec(mode)).unwrap();
+        assert_reports_identical(&want, &got, &label);
+        for r in &got.replicas {
+            let cache = r.cache.expect("every replica carries a cache");
+            assert!(
+                cache.resident_tokens <= cache.capacity_tokens,
+                "{label}: eviction must keep every cache within capacity"
+            );
+        }
+        pin(&label, digest(&label, &got) + &cache_digest(&got));
     }
     if regen {
         std::fs::write(fixture_path, lines.join("\n") + "\n").unwrap();

@@ -34,9 +34,7 @@ use crate::dynamics::{
     AdmissionController, AdmitAll, Autoscaler, AvailabilityReport, FleetAction, FleetTimeline,
     FleetView, ScaleBounds, ScaleDecision,
 };
-use crate::engine::{
-    batching_for, EngineError, Lifecycle, ReplicaEngine, SystemEvaluator, WindowEvent,
-};
+use crate::engine::{batching_for, EngineError, Lifecycle, ReplicaEngine, SystemEvaluator};
 use crate::observe::ObsState;
 use crate::serving::{ServeSpec, ServingMode, ServingReport};
 use crate::system::SystemKind;
@@ -92,6 +90,13 @@ pub enum ClusterSpecError {
     /// fleet needs at least one replica taking arrivals (prefill or unified)
     /// and one taking migrations (decode or unified).
     IncompletePools,
+    /// An explicit queue holds a request whose arrival stamp is not finite
+    /// and non-negative (NaN, ±∞ or negative); the event loop could never
+    /// reach it.
+    InvalidArrival {
+        /// The offending request's id.
+        id: u64,
+    },
 }
 
 impl fmt::Display for ClusterSpecError {
@@ -105,11 +110,27 @@ impl fmt::Display for ClusterSpecError {
             ClusterSpecError::IncompletePools => f.write_str(
                 "disaggregated pools need an arrival-taking and a migration-taking replica",
             ),
+            ClusterSpecError::InvalidArrival { id } => write!(
+                f,
+                "request {id} has an arrival stamp that is not finite and non-negative"
+            ),
         }
     }
 }
 
 impl std::error::Error for ClusterSpecError {}
+
+/// Checks that every request of an explicit queue arrives at a finite,
+/// non-negative instant; reports the first one that does not.
+pub(crate) fn check_arrivals(queue: &[Request]) -> Result<(), ClusterSpecError> {
+    match queue.iter().find(|r| {
+        let at = r.arrival.as_secs();
+        !(at.is_finite() && at >= 0.0)
+    }) {
+        Some(r) => Err(ClusterSpecError::InvalidArrival { id: r.id }),
+        None => Ok(()),
+    }
+}
 
 /// One replica of a cluster: a hardware node plus (optionally) an explicit
 /// policy override and a batch-formation strategy. Replicas of one fleet may
@@ -357,7 +378,8 @@ impl ClusterSpec {
     /// # Errors
     ///
     /// Returns the first violated constraint (empty fleet, zero requests,
-    /// inverted autoscaler bounds).
+    /// inverted autoscaler bounds, incomplete role pools, an explicit-queue
+    /// arrival that is not finite and non-negative).
     pub fn validate(&self) -> Result<(), ClusterSpecError> {
         if self.replicas.is_empty() {
             return Err(ClusterSpecError::NoReplicas);
@@ -375,6 +397,9 @@ impl ClusterSpec {
                 || !self.replicas.iter().any(|r| r.role.takes_migrations()))
         {
             return Err(ClusterSpecError::IncompletePools);
+        }
+        if let Some(queue) = &self.queue {
+            check_arrivals(queue)?;
         }
         Ok(())
     }
@@ -662,19 +687,22 @@ impl ClusterReport {
 ///
 /// * the **indexed loop** (default) — an indexed min-priority event queue
 ///   over the fleet, cached router views refreshed only for replicas that
-///   changed, [`Router::route_indexed`] fast paths, and replica stepping
-///   sharded across threads between global synchronization points;
+///   changed, and [`Router::route_indexed`] fast paths;
 /// * the **scan loop** ([`Self::with_scan_loop`]) — a linear scan over every
 ///   replica per event and per routing decision, with views rebuilt from
 ///   scratch. `O(fleet)` per event; kept as the semantic baseline the indexed
 ///   loop's self-check fixtures and the `scale_sweep` speedup gate measure
 ///   against.
+///
+/// Both loops advance replicas the same way: one replica-internal event at a
+/// time, the fleet-wide earliest first, on the calling thread. Between two
+/// arrivals there is too little replica work to pay for stepping replicas in
+/// parallel (README, Performance).
 #[derive(Debug, Clone)]
 pub struct ClusterEvaluator {
     model: MoeModelConfig,
     simulated_layers: Option<u32>,
     scan_loop: bool,
-    shard_threads: Option<usize>,
 }
 
 impl ClusterEvaluator {
@@ -685,7 +713,6 @@ impl ClusterEvaluator {
             model,
             simulated_layers: None,
             scan_loop: false,
-            shard_threads: None,
         }
     }
 
@@ -703,16 +730,6 @@ impl ClusterEvaluator {
     #[doc(hidden)]
     pub fn with_scan_loop(mut self) -> Self {
         self.scan_loop = true;
-        self
-    }
-
-    /// Caps the worker threads the indexed loop uses to shard independent
-    /// replica stepping between global synchronization points. `1` forces
-    /// serial stepping; the default is the machine's available parallelism,
-    /// capped at 8. The report is deterministic and identical for every
-    /// thread count.
-    pub fn with_shard_threads(mut self, threads: usize) -> Self {
-        self.shard_threads = Some(threads.max(1));
         self
     }
 
@@ -822,10 +839,6 @@ impl ClusterEvaluator {
         let mut cursor = 0usize;
         let fleet_size = engines.len();
         let indexed = !self.scan_loop;
-        let threads = match self.shard_threads {
-            Some(n) => n,
-            None => std::thread::available_parallelism().map_or(1, |n| n.get().min(8)),
-        };
         let mut plane = FleetLoop {
             cluster: self,
             spec,
@@ -843,7 +856,6 @@ impl ClusterEvaluator {
             recent: Vec::new(),
             last_scale: None,
             indexed,
-            threads,
             events: EventHeap::default(),
             index: RouterIndex::new(),
             dirty: Vec::new(),
@@ -934,26 +946,12 @@ impl ClusterEvaluator {
                 plane.dispatch(request, at, true);
                 plane.prof_end(Section::Routing, prof_route);
                 plane.maybe_autoscale(at)?;
-            } else if plane.indexed && internal.is_some() {
-                // Everything strictly before the next arrival or control
-                // event is replica-internal and independent across
-                // replicas: drain it as one sharded window. Sampling first
-                // advances the cursor past the earliest internal event, and
-                // `obs_bound` caps the window at the next sample instant, so
-                // every gauge snapshot is taken from event-exact state.
-                plane.maybe_sample_to(internal.map(|(time, _)| time).unwrap_or(Seconds::ZERO));
-                let bound = match (control.map(|(ct, _)| ct), arrival) {
-                    (Some(c), Some(a)) => Some(c.min(a)),
-                    (c, a) => c.or(a),
-                };
-                let prof_step = plane.prof_start();
-                plane.step_window(plane.obs_bound(bound))?;
-                plane.prof_end(Section::ShardStep, prof_step);
             } else if let Some((t, index)) = internal {
                 plane.maybe_sample_to(t);
                 let prof_step = plane.prof_start();
                 let completed = plane.engines[index].step_to(t)?;
                 plane.prof_end(Section::ShardStep, prof_step);
+                plane.mark_dirty(index);
                 let had_completions = !completed.is_empty();
                 plane.note_completions(index, completed);
                 if plane.engines[index].drain_finished() {
@@ -1059,9 +1057,6 @@ pub(crate) struct FleetLoop<'a> {
     /// event heap / router index (see
     /// [`ClusterEvaluator::with_scan_loop`]).
     indexed: bool,
-    /// Worker threads for sharded replica stepping inside
-    /// [`FleetLoop::step_window`].
-    threads: usize,
     /// Min-heap over each replica's next internal event (indexed loop only).
     events: EventHeap,
     /// Incrementally maintained serving-replica views for routing (indexed
@@ -1144,14 +1139,6 @@ impl EventHeap {
         None
     }
 }
-
-/// Below this many due replicas a sharded window falls back to serial
-/// stepping — thread spawn overhead would exceed the work.
-const MIN_SHARD_REPLICAS: usize = 4;
-
-/// One shard worker's outcome: `(replica index, its drained events)` per
-/// claimed replica, or the first engine error the shard hit.
-type ShardOutcome = Result<Vec<(usize, Vec<WindowEvent>)>, EngineError>;
 
 impl FleetLoop<'_> {
     fn serving_count(&self) -> usize {
@@ -1600,125 +1587,6 @@ impl FleetLoop<'_> {
                 self.last_scale = Some(t);
             }
             ScaleDecision::Up | ScaleDecision::Down => {}
-        }
-        Ok(())
-    }
-
-    /// Processes the replica-internal events due strictly before `bound`
-    /// (all pending events when `bound` is `None`). Indexed loop only.
-    ///
-    /// Between two global sync points (arrivals, timeline actions,
-    /// provisioning completions) replicas do not interact, so each due
-    /// replica's event chain is drained independently — sharded across
-    /// `self.threads` workers when enough replicas are due — and the settled
-    /// events are merged back in `(time, replica index)` order. That is
-    /// exactly the reference loop's one-global-min-at-a-time processing
-    /// order: ties go to the lower replica index, and each replica's own
-    /// events stay chronological.
-    ///
-    /// With an autoscaler installed the window degenerates to a single
-    /// event: the autoscaler may react to every completion batch, and its
-    /// actions are global sync points that end the window. Disaggregated
-    /// runs degenerate the same way — a completion may start a KV migration,
-    /// and the migration's landing is a control event that must be merged in
-    /// global order, so no window may run past it.
-    fn step_window(&mut self, bound: Option<Seconds>) -> Result<(), EngineError> {
-        let before = |t: Seconds| bound.is_none_or(|b| t < b);
-        if self.spec.autoscaler.is_some() || self.disagg.enabled {
-            let Some((t, index)) = self.events.peek() else {
-                return Ok(());
-            };
-            if !before(t) {
-                return Ok(());
-            }
-            let completed = self.engines[index].step_to(t)?;
-            self.mark_dirty(index);
-            let had_completions = !completed.is_empty();
-            self.note_completions(index, completed);
-            if self.engines[index].drain_finished() {
-                self.depart(index, t);
-            }
-            if had_completions {
-                self.maybe_autoscale(t)?;
-            }
-            return Ok(());
-        }
-
-        // Claim every replica whose next event falls inside the window,
-        // retiring their heap entries up front; the dirty set re-syncs their
-        // refreshed state after the drain.
-        let mut due: Vec<usize> = Vec::new();
-        while let Some((t, index)) = self.events.peek() {
-            if !before(t) {
-                break;
-            }
-            self.events.refresh(index, None);
-            self.mark_dirty(index);
-            due.push(index);
-        }
-        if due.is_empty() {
-            return Ok(());
-        }
-
-        let batches: Vec<(usize, Vec<WindowEvent>)> =
-            if self.threads <= 1 || due.len() < MIN_SHARD_REPLICAS {
-                let mut out = Vec::with_capacity(due.len());
-                for index in due {
-                    out.push((index, self.engines[index].drain_window(bound)?));
-                }
-                out
-            } else {
-                let mut is_due = vec![false; self.engines.len()];
-                for &index in &due {
-                    is_due[index] = true;
-                }
-                let mut workers: Vec<(usize, &mut ReplicaEngine)> = self
-                    .engines
-                    .iter_mut()
-                    .enumerate()
-                    .filter(|(i, _)| is_due[*i])
-                    .collect();
-                let per_worker = workers.len().div_ceil(self.threads);
-                let results: Vec<ShardOutcome> = crossbeam::thread::scope(|s| {
-                    let handles: Vec<_> = workers
-                        .chunks_mut(per_worker)
-                        .map(|shard| {
-                            s.spawn(move || {
-                                shard
-                                    .iter_mut()
-                                    .map(|(index, engine)| {
-                                        engine.drain_window(bound).map(|events| (*index, events))
-                                    })
-                                    .collect::<ShardOutcome>()
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("shard worker panicked"))
-                        .collect()
-                })
-                .expect("scope never errors");
-                let mut out = Vec::with_capacity(due.len());
-                for result in results {
-                    out.extend(result?);
-                }
-                out
-            };
-
-        // Merge the per-replica chronological event lists back into the
-        // reference loop's global processing order (stable on equal keys, so
-        // each replica's own events keep their order).
-        let mut ordered: Vec<(Seconds, usize, WindowEvent)> = batches
-            .into_iter()
-            .flat_map(|(index, events)| events.into_iter().map(move |e| (e.at, index, e)))
-            .collect();
-        ordered.sort_by_key(|&(t, index, _)| (t.key(), index));
-        for (t, index, event) in ordered {
-            self.note_completions(index, event.completed);
-            if event.departed {
-                self.depart(index, t);
-            }
         }
         Ok(())
     }

@@ -108,15 +108,6 @@ pub(crate) enum Lifecycle {
     Departed { at: Seconds },
 }
 
-/// One settled event from a replica's independent window drain: the instant,
-/// any request completions released at it, and whether the replica's drain
-/// finished there.
-pub(crate) struct WindowEvent {
-    pub(crate) at: Seconds,
-    pub(crate) completed: Vec<RequestLatency>,
-    pub(crate) departed: bool,
-}
-
 /// The per-replica serving state machine: both single-node serving loops
 /// re-expressed as an event interface ([`Self::next_event`] /
 /// [`Self::step_to`]) so one replica can serve a queue on its own clock and a
@@ -668,38 +659,6 @@ impl ReplicaEngine {
             ServingMode::RoundToCompletion => self.step_rtc(t),
             ServingMode::Continuous => self.step_continuous(t),
         }
-    }
-
-    /// Settles every internal event due strictly before `bound` (all pending
-    /// events when `bound` is `None`), independently of the rest of the
-    /// fleet. Returns the settled events in chronological order, keeping
-    /// only the ones the control plane must observe (completions or a drain
-    /// finishing); stops at a finished drain — the departure is a
-    /// fleet-level transition the control plane applies first.
-    pub(crate) fn drain_window(
-        &mut self,
-        bound: Option<Seconds>,
-    ) -> Result<Vec<WindowEvent>, EngineError> {
-        let mut out = Vec::new();
-        while self.has_events() {
-            let Some(t) = self.next_event() else { break };
-            if bound.is_some_and(|b| t >= b) {
-                break;
-            }
-            let completed = self.step_to(t)?;
-            let departed = self.drain_finished();
-            if !completed.is_empty() || departed {
-                out.push(WindowEvent {
-                    at: t,
-                    completed,
-                    departed,
-                });
-            }
-            if departed {
-                break;
-            }
-        }
-        Ok(out)
     }
 
     fn step_continuous(&mut self, t: Seconds) -> Result<Vec<RequestLatency>, EngineError> {

@@ -59,7 +59,9 @@ pub enum EngineError {
         reason: BatchingConfigError,
     },
     /// A cluster scenario was configured with an unusable fleet (see
-    /// [`crate::cluster::ClusterSpec::validate`]).
+    /// [`crate::cluster::ClusterSpec::validate`]), or a single-node scenario's
+    /// explicit queue holds an unreachable arrival
+    /// ([`ClusterSpecError::InvalidArrival`]).
     InvalidClusterSpec {
         /// The violated constraint.
         reason: ClusterSpecError,

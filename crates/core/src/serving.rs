@@ -45,6 +45,7 @@
 //! ([`crate::SystemEvaluator::evaluate`]) remains as the padded-systems special
 //! case.
 
+use crate::cluster::check_arrivals;
 use crate::engine::{batching_for, EngineError, ReplicaEngine, SystemEvaluator};
 use crate::router::ReplicaId;
 use crate::system::SystemKind;
@@ -523,9 +524,15 @@ impl SystemEvaluator {
     ///
     /// # Errors
     ///
-    /// Returns an error if no policy fits, the batching configuration is
-    /// invalid, or the simulation fails.
+    /// Returns [`EngineError::InvalidClusterSpec`] with
+    /// [`crate::ClusterSpecError::InvalidArrival`] if an explicit queue holds an
+    /// arrival that is not finite and non-negative (the rule
+    /// [`crate::ClusterSpec::validate`] applies), and an error if no policy
+    /// fits, the batching configuration is invalid, or the simulation fails.
     pub fn run(&self, spec: &ServeSpec) -> Result<ServingReport, EngineError> {
+        if let Some(queue) = &spec.queue {
+            check_arrivals(queue).map_err(|reason| EngineError::InvalidClusterSpec { reason })?;
+        }
         // Policies (and thus KV budgets) are sized for the scenario's expected
         // generation length — the mean of the defaults for mixed queues, where
         // per-round admission control keeps the long-generation tail within

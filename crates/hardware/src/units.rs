@@ -429,7 +429,8 @@ impl Seconds {
     /// Zero seconds.
     pub const ZERO: Seconds = Seconds(0.0);
 
-    /// Creates a duration from seconds.
+    /// Creates a duration from seconds. Negative and NaN inputs become zero;
+    /// `+∞` is kept.
     pub fn from_secs(secs: f64) -> Self {
         Seconds(secs.max(0.0))
     }

@@ -24,8 +24,8 @@
 //!   [`TelemetrySink::sample_interval`] simulated seconds plus once at the
 //!   end of the run.
 //! * [`Section`] self-profiling roll-ups — wall-clock nanoseconds the
-//!   simulator itself spent in event selection, routing, sharded replica
-//!   stepping and scheduler planning, aggregated per run.
+//!   simulator itself spent in event selection, routing, replica stepping
+//!   and scheduler planning, aggregated per run.
 //!
 //! [`Recorder`] is the batteries-included sink: it derives a [`Counters`]
 //! summary, keeps the event log and a ring-buffered time-series, and exports
@@ -468,7 +468,9 @@ pub enum Section {
     EventSelection,
     /// Routing + admission over the fleet (dispatch).
     Routing,
-    /// Sharded replica stepping between global sync points.
+    /// Advancing one replica to its next internal event (`step_to`), timed
+    /// per event. The name and its `"shard-step"` label predate serial
+    /// stepping and are kept for exports that read them.
     ShardStep,
     /// Scheduler planning inside the engines (backfill/plan calls).
     Planning,

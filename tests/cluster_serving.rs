@@ -324,3 +324,57 @@ fn invalid_cluster_specs_surface_as_typed_errors() {
         _ => unreachable!("typed cluster error expected"),
     }
 }
+
+/// An explicit queue whose arrival stamp the event loop could never reach is
+/// a typed error on both fleet loops and on the single-node path, not a hang.
+/// `+∞` is the one such stamp a `Seconds` can hold: `Seconds::from_secs`
+/// maps NaN and negative inputs (`-∞` included) to zero, so those requests
+/// arrive at time zero and are served.
+#[test]
+fn explicit_queue_arrivals_must_be_finite_and_non_negative() {
+    use moe_lightning::Seconds;
+    let queue = |stamp: f64| -> Vec<Request> {
+        (0..10u64)
+            .map(|id| {
+                let mut r = Request::new(id, 64, 8);
+                r.arrival = Seconds::from_secs(if id == 3 { stamp } else { id as f64 });
+                r
+            })
+            .collect()
+    };
+    let cluster = |stamp: f64| {
+        ClusterSpec::homogeneous(
+            SystemKind::MoeLightning,
+            WorkloadSpec::mtbench(),
+            &NodeSpec::t4_single(),
+            2,
+        )
+        .with_mode(ServingMode::Continuous)
+        .with_queue(queue(stamp))
+    };
+    let single = |stamp: f64| {
+        ServeSpec::new(SystemKind::MoeLightning, WorkloadSpec::mtbench())
+            .with_mode(ServingMode::Continuous)
+            .with_queue(queue(stamp))
+    };
+    let node = SystemEvaluator::new(EvalSetting::S1.node(), EvalSetting::S1.model());
+    let invalid = ClusterSpecError::InvalidArrival { id: 3 };
+
+    assert_eq!(cluster(f64::INFINITY).validate(), Err(invalid));
+    for eval in [cluster_evaluator(), cluster_evaluator().with_scan_loop()] {
+        let err = eval.run(&cluster(f64::INFINITY)).unwrap_err();
+        assert_eq!(err, EngineError::InvalidClusterSpec { reason: invalid });
+        assert!(err.to_string().contains("request 3"), "{err}");
+    }
+    let err = node.run(&single(f64::INFINITY)).unwrap_err();
+    assert_eq!(err, EngineError::InvalidClusterSpec { reason: invalid });
+
+    for stamp in [f64::NAN, f64::NEG_INFINITY, -5.0] {
+        assert_eq!(queue(stamp)[3].arrival, Seconds::ZERO, "{stamp}");
+        assert_eq!(cluster(stamp).validate(), Ok(()));
+        for eval in [cluster_evaluator(), cluster_evaluator().with_scan_loop()] {
+            assert_eq!(eval.run(&cluster(stamp)).unwrap().served_requests(), 10);
+        }
+        assert_eq!(node.run(&single(stamp)).unwrap().served_requests(), 10);
+    }
+}

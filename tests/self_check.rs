@@ -10,9 +10,8 @@
 //!   pre-refactor loops (commit 98a040b) — the engine must keep reproducing
 //!   them bit-for-bit forever;
 //! * the indexed fleet loop against the linear scan loop
-//!   (`ClusterEvaluator::with_scan_loop`) across routers, serving modes,
-//!   churn and thread counts — the two dispatch paths must stay report-
-//!   identical;
+//!   (`ClusterEvaluator::with_scan_loop`) across routers, serving modes and
+//!   churn — the two dispatch paths must stay report-identical;
 //! * the pinned churn scenario against committed per-router digests, and a
 //!   disaggregated fleet whose tiny prefix caches evict on almost every
 //!   admission against committed digests that include the cache statistics,
@@ -65,8 +64,8 @@ fn scan() -> ClusterEvaluator {
     ClusterEvaluator::new(EvalSetting::S1.model()).with_scan_loop()
 }
 
-fn indexed(threads: usize) -> ClusterEvaluator {
-    ClusterEvaluator::new(EvalSetting::S1.model()).with_shard_threads(threads)
+fn indexed() -> ClusterEvaluator {
+    ClusterEvaluator::new(EvalSetting::S1.model())
 }
 
 fn secs(s: f64) -> Seconds {
@@ -594,7 +593,7 @@ fn churn_scenario_matches_scan_loop_and_pinned_digests() {
             let name = router.name();
             let label = format!("{name} [{}]", mode.label());
             let want = scan().run(&churn_spec(mode, router.clone())).unwrap();
-            let got = indexed(2).run(&churn_spec(mode, router)).unwrap();
+            let got = indexed().run(&churn_spec(mode, router)).unwrap();
             assert_reports_identical(&want, &got, &label);
             pin(&label, digest(&label, &got));
         }
@@ -602,7 +601,7 @@ fn churn_scenario_matches_scan_loop_and_pinned_digests() {
     for mode in MODES {
         let label = format!("prefix-aware tiny-cache disagg [{}]", mode.label());
         let want = scan().run(&tiny_cache_disagg_spec(mode)).unwrap();
-        let got = indexed(2).run(&tiny_cache_disagg_spec(mode)).unwrap();
+        let got = indexed().run(&tiny_cache_disagg_spec(mode)).unwrap();
         assert_reports_identical(&want, &got, &label);
         for r in &got.replicas {
             let cache = r.cache.expect("every replica carries a cache");
@@ -618,11 +617,10 @@ fn churn_scenario_matches_scan_loop_and_pinned_digests() {
     }
 }
 
-/// Sharded stepping is deterministic and thread-count-independent: 1, 2 and
-/// 4 worker threads all reproduce the scan-loop report on a fleet large
-/// enough that windows actually shard.
+/// The indexed loop reproduces the scan-loop report on an eight-replica
+/// fleet, for every built-in router in both serving modes.
 #[test]
-fn sharded_stepping_matches_scan_at_every_thread_count() {
+fn indexed_loop_matches_scan_on_an_eight_replica_fleet() {
     for mode in MODES {
         for router in builtin_routers() {
             let name = router.name();
@@ -641,21 +639,15 @@ fn sharded_stepping_matches_scan_at_every_thread_count() {
                 .with_router(r)
             };
             let want = scan().run(&spec(router.clone())).unwrap();
-            for threads in [1, 2, 4] {
-                let got = indexed(threads).run(&spec(router.clone())).unwrap();
-                assert_reports_identical(
-                    &want,
-                    &got,
-                    &format!("{name} [{mode}] threads={threads}"),
-                );
-            }
+            let got = indexed().run(&spec(router.clone())).unwrap();
+            assert_reports_identical(&want, &got, &format!("{name} [{mode}]"));
         }
     }
 }
 
-/// With an autoscaler installed the indexed loop degenerates to per-event
-/// stepping so the scaler observes every completion batch — and still
-/// matches the scan loop exactly, including the scale decisions.
+/// With an autoscaler installed the scaler observes every completion batch,
+/// and the indexed loop still matches the scan loop exactly, including the
+/// scale decisions.
 #[test]
 fn indexed_loop_matches_scan_with_an_autoscaler() {
     for mode in MODES {
@@ -678,7 +670,7 @@ fn indexed_loop_matches_scan_with_an_autoscaler() {
             )
         };
         let want = scan().run(&spec()).unwrap();
-        let got = indexed(4).run(&spec()).unwrap();
+        let got = indexed().run(&spec()).unwrap();
         assert_reports_identical(&want, &got, &format!("autoscaled [{mode}]"));
         assert!(
             !want.availability.joins.is_empty() || !want.availability.drains.is_empty(),
@@ -713,7 +705,7 @@ fn indexed_loop_matches_scan_with_fleet_scaled_arrivals() {
         )
     };
     let want = scan().run(&spec()).unwrap();
-    let got = indexed(2).run(&spec()).unwrap();
+    let got = indexed().run(&spec()).unwrap();
     assert_reports_identical(&want, &got, "fleet-scaled arrivals");
 }
 
@@ -744,7 +736,7 @@ fn indexed_loop_matches_scan_on_heterogeneous_budgets() {
                 .with_arrivals(ArrivalProcess::Poisson { rate_per_sec: 1.5 })
         };
         let want = scan().run(&spec()).unwrap();
-        let got = indexed(2).run(&spec()).unwrap();
+        let got = indexed().run(&spec()).unwrap();
         assert_reports_identical(&want, &got, &format!("heterogeneous [{mode}]"));
     }
 }
@@ -753,8 +745,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Property form of the tentpole guarantee: over random seeds, fleet
-    /// sizes, loads and serving modes, the indexed sharded loop and the
-    /// linear scan loop produce identical reports.
+    /// sizes, loads and serving modes, the indexed loop and the linear scan
+    /// loop produce identical reports.
     #[test]
     fn indexed_loop_matches_scan_on_random_scenarios(
         seed in 0u64..1000,
@@ -762,7 +754,6 @@ proptest! {
         count in 50usize..250,
         rate_x10 in 5u64..40,
         mode_seed in 0u8..2,
-        threads in 1usize..4,
     ) {
         let mode = if mode_seed == 0 {
             ServingMode::RoundToCompletion
@@ -785,7 +776,7 @@ proptest! {
             })
         };
         let want = scan().run(&spec()).unwrap();
-        let got = indexed(threads).run(&spec()).unwrap();
+        let got = indexed().run(&spec()).unwrap();
         prop_assert_eq!(&want, &got);
     }
 }
